@@ -20,7 +20,7 @@ unit suite pins the same bound in ``tests/unit/test_serve.py``).
 
 ``--durable-resume`` adds the durability scenario: the same stream is
 persisted into two directories — one with periodic snapshots, one pure WAL
-— and ``StreamSession.resume`` is timed on each.  Snapshot resume must be
+— and the resume through ``open_session`` is timed on each.  Snapshot resume must be
 at least ``--min-resume-speedup`` (default 5x) faster than the full WAL
 replay on the 5k fixture, both resumes bit-identical to the batch build;
 ``--trajectory`` appends the result as a ``stream-resume`` entry to the
@@ -35,17 +35,6 @@ build, and the sharded run must stay within ``--max-shard-overhead`` of
 the serial wall clock (sharding may not win on a small CI fixture, but it
 must never wreck live-stream evaluation); ``--trajectory`` appends a
 ``stream-shards`` entry alongside the resume one.
-
-``--with-writers`` adds the multi-writer ingest scenario: the same stream
-is persisted into a fresh durable directory once per ``--writer-counts``
-entry through ``open_session`` with ``fsync=True`` — overlapping segment
-fsyncs across partitions are the lever partitioned ingestion buys — and
-the fastest multi-writer wall clock is compared against the single-writer
-baseline.  Every count must be bit-identical to the batch build;
-``--min-writer-speedup`` gates the speedup, except on single-core runners
-where the entry is marked ``vacuous`` and the gate is skipped (the PR 8
-convention for parallelism gates).  ``--trajectory`` appends a
-``stream-multiwriter`` entry.
 
 Usage::
 
@@ -254,7 +243,7 @@ def run_durable_resume(
     snapshot_every: int = 8,
     repeats: int = 3,
 ) -> dict:
-    """Time ``StreamSession.resume`` with snapshots vs full WAL replay.
+    """Time the ``open_session`` resume with snapshots vs full WAL replay.
 
     Only the resume itself is timed — both paths pay the identical
     ``estimate_all`` cost afterwards, so folding it in would just compress
@@ -408,99 +397,6 @@ def run_with_shards(
     }
 
 
-def run_with_writers(
-    n_events: int,
-    n_workers: int,
-    n_tasks: int,
-    seed: int,
-    batch_size: int = 64,
-    backend: str = "dense",
-    writer_counts: tuple[int, ...] = (1, 2, 3),
-    repeats: int = 2,
-) -> dict:
-    """Time durable ingest wall clock across multi-writer partition counts.
-
-    Each count persists the identical stream into its own fresh directory
-    with ``fsync=True`` — the per-append fsync is the serial cost the
-    partitioned WAL segments overlap, so it must stay in the measurement.
-    Best-of-``repeats`` per count; the reported speedup is the
-    single-writer wall clock over the best multi-writer one.  On
-    single-core hosts the comparison is marked ``vacuous`` (there is no
-    concurrency to buy) and callers skip the speedup gate.
-    """
-    stream = make_stream(n_events, n_workers, n_tasks, seed)
-    print(
-        f"with-writers: {len(stream)} events over {n_workers} workers x "
-        f"{n_tasks} tasks ({backend} backend, micro-batch {batch_size}, "
-        f"fsync on, writer counts {list(writer_counts)})"
-    )
-
-    reference_evaluator = IncrementalEvaluator(3, 1, backend="dict")
-    reference_evaluator.apply_batch(stream, auto_extend=True)
-    reference = {
-        estimate.worker: estimate
-        for estimate in MWorkerEstimator(backend="dict").evaluate_all(
-            reference_evaluator.matrix
-        )
-        if estimate.n_tasks > 0
-    }
-
-    async def ingest(directory: str, writers: int):
-        config = SessionConfig(
-            writers=writers,
-            durable=directory,
-            backend=backend,
-            max_batch=batch_size,
-            fsync=True,
-        )
-        async with open_session(config) as session:
-            for event in stream:
-                await session.submit(*event)
-            await session.flush()
-            return await session.evaluate_all()
-
-    seconds: dict[int, float] = {}
-    identical = True
-    for writers in writer_counts:
-        best = float("inf")
-        for repeat in range(repeats):
-            with tempfile.TemporaryDirectory() as directory:
-                start = time.perf_counter()
-                estimates = asyncio.run(ingest(directory, writers))
-                best = min(best, time.perf_counter() - start)
-            identical = identical and set(estimates) == set(reference) and all(
-                _identical(estimates[w], reference[w]) for w in reference
-            )
-        seconds[writers] = best
-        rate = n_events / best if best > 0 else float("inf")
-        print(f"  writers={writers}: {best:7.3f}s  ({rate:9.0f} events/s)")
-
-    multi = [s for w, s in seconds.items() if w > 1]
-    base = seconds.get(1)
-    speedup = (
-        base / min(multi) if base is not None and multi and min(multi) > 0
-        else float("inf")
-    )
-    vacuous = (os.cpu_count() or 1) < 2
-    print(
-        f"  writer speedup (1-writer / best multi): {speedup:.2f}x   "
-        f"bit-identical: {identical}   vacuous: {vacuous}"
-    )
-    return {
-        "scenario": "stream-multiwriter",
-        "n_events": n_events,
-        "n_workers": n_workers,
-        "n_tasks": n_tasks,
-        "batch_size": batch_size,
-        "backend": backend,
-        "writer_counts": list(writer_counts),
-        "seconds": {str(w): s for w, s in seconds.items()},
-        "writer_speedup": speedup,
-        "bit_identical": identical,
-        "vacuous": vacuous,
-    }
-
-
 def _append_trajectory(path: str, result: dict, smoke: bool) -> None:
     """Append a scenario result to the committed trend file's trajectory.
 
@@ -577,26 +473,9 @@ def main(argv: list[str] | None = None) -> int:
         "--with-shards)",
     )
     parser.add_argument(
-        "--with-writers", action="store_true",
-        help="also run the multi-writer ingest scenario: fsynced durable "
-        "ingest wall clock across --writer-counts (see "
-        "--min-writer-speedup)",
-    )
-    parser.add_argument(
-        "--writer-counts", default="1,2,3",
-        help="comma-separated writer counts for the --with-writers scenario "
-        "(default 1,2,3; must include 1, the baseline)",
-    )
-    parser.add_argument(
-        "--min-writer-speedup", type=float, default=1.0,
-        help="exit non-zero unless the best multi-writer ingest beats the "
-        "single-writer baseline by this factor (default 1; skipped on "
-        "single-core runners, where the entry is marked vacuous)",
-    )
-    parser.add_argument(
         "--trajectory", default=None,
-        help="trend file (BENCH_agreement.json) to append the stream-resume, "
-        "stream-shards and stream-multiwriter entries to",
+        help="trend file (BENCH_agreement.json) to append the stream-resume "
+        "and stream-shards entries to",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -626,33 +505,6 @@ def main(argv: list[str] | None = None) -> int:
         result["with_shards"] = shards_result
         if args.trajectory:
             _append_trajectory(args.trajectory, shards_result, args.smoke)
-    writers_result = None
-    if args.with_writers:
-        try:
-            writer_counts = tuple(
-                int(token) for token in args.writer_counts.split(",") if token
-            )
-        except ValueError:
-            print(
-                f"FAIL: malformed --writer-counts {args.writer_counts!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if 1 not in writer_counts or not any(w > 1 for w in writer_counts):
-            print(
-                "FAIL: --writer-counts needs the 1-writer baseline and at "
-                "least one multi-writer count",
-                file=sys.stderr,
-            )
-            return 2
-        writers_result = run_with_writers(
-            min(args.events, 4000), args.workers, args.tasks, args.seed,
-            backend="dense" if args.backend in ("dict", "auto") else args.backend,
-            writer_counts=writer_counts,
-        )
-        result["with_writers"] = writers_result
-        if args.trajectory:
-            _append_trajectory(args.trajectory, writers_result, args.smoke)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(result, handle, indent=2)
@@ -698,25 +550,6 @@ def main(argv: list[str] | None = None) -> int:
                 "FAIL: sharded ingest-then-evaluate wall clock "
                 f"{shards_result['shard_overhead']:.2f}x serial exceeds the "
                 f"allowed {args.max_shard_overhead:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    if writers_result is not None:
-        if not writers_result["bit_identical"]:
-            print(
-                "FAIL: multi-writer ingest disagrees with the batch build",
-                file=sys.stderr,
-            )
-            return 1
-        if writers_result["vacuous"]:
-            print(
-                "writer-speedup gate skipped: single-core runner "
-                "(entry marked vacuous)"
-            )
-        elif writers_result["writer_speedup"] < args.min_writer_speedup:
-            print(
-                f"FAIL: writer speedup {writers_result['writer_speedup']:.2f}x "
-                f"below required {args.min_writer_speedup:.2f}x",
                 file=sys.stderr,
             )
             return 1

@@ -22,24 +22,28 @@ complement the CI crash-smoke job runs:
 Any divergence — a lost acknowledged batch, a double-applied record, crash
 residue parsed as data — shows up as a table diff and a non-zero exit.
 
-``--writers N`` (N > 1) runs the same drill against the multi-writer
-session: the child ingests through N consistent-hash partitions, each
-appending to its own ``wal-<p>.ndjson`` segment, and the SIGKILL lands
-while the segments are growing concurrently — so the resume exercises the
-per-segment tail truncation and the k-way merge, not just single-WAL
-replay.  The byte-diff acceptance is identical.
+``--legacy-layout`` runs the same drill over a directory written by an
+older multi-writer release: the durable directory starts as a copy of the
+committed fixture ``tests/fixtures/legacy_layout/snapshotted`` (three
+``wal-<p>.ndjson`` segments, snapshots, one torn segment tail) and the
+feed is that fixture's own event stream.  The child resumes the segments,
+appends to ``wal.ndjson`` until the SIGKILL, and the resume must merge the
+frozen segments and replay the log.  The byte-diff acceptance is
+identical.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/crash_smoke.py [--seed N] [--events N]
-    PYTHONPATH=src python benchmarks/crash_smoke.py --writers 3
+    PYTHONPATH=src python benchmarks/crash_smoke.py --legacy-layout --batch-size 8
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -47,6 +51,7 @@ import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LEGACY_FIXTURE = os.path.join(REPO_ROOT, "tests", "fixtures", "legacy_layout")
 
 
 def _cli_env() -> dict[str, str]:
@@ -69,6 +74,21 @@ def _run_cli(args: list[str], output_path: str) -> None:
         )
 
 
+def _write_legacy_stream(ndjson: str, csv: str) -> None:
+    """The legacy fixture's event stream, plus its settled responses as CSV."""
+    with open(os.path.join(LEGACY_FIXTURE, "manifest.json"), encoding="utf-8") as handle:
+        stream = json.load(handle)["stream"]
+    settled = {}
+    with open(ndjson, "w", encoding="utf-8") as handle:
+        for worker, task, label in stream:
+            handle.write(json.dumps([worker, task, label]) + "\n")
+            settled[worker, task] = label  # revisions: the last label wins
+    with open(csv, "w", encoding="utf-8") as handle:
+        handle.write("worker,task,label\n")
+        for (worker, task), label in sorted(settled.items()):
+            handle.write(f"{worker},{task},{label}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1157,
@@ -77,31 +97,35 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--snapshot-every", type=int, default=5,
                         help="snapshot cadence of the killed session (batches)")
-    parser.add_argument("--writers", type=int, default=1,
-                        help="ingest partition count of the killed session "
-                        "(>1 drills the multi-writer segment layout)")
+    parser.add_argument("--legacy-layout", action="store_true",
+                        help="start from a copy of the committed legacy "
+                        "multi-writer fixture and feed its stream")
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
 
     with tempfile.TemporaryDirectory(prefix="crash-smoke-") as root:
         ndjson = os.path.join(root, "stream_events.ndjson")
         csv = os.path.join(root, "stream_responses.csv")
-        subprocess.run(
-            [
-                sys.executable,
-                os.path.join(REPO_ROOT, "benchmarks", "gen_stream_fixture.py"),
-                "--events", str(args.events),
-                "--ndjson", ndjson,
-                "--csv", csv,
-            ],
-            env=_cli_env(),
-            check=True,
-        )
+        durable_dir = os.path.join(root, "durable")
+        if args.legacy_layout:
+            _write_legacy_stream(ndjson, csv)
+            shutil.copytree(os.path.join(LEGACY_FIXTURE, "snapshotted"), durable_dir)
+        else:
+            subprocess.run(
+                [
+                    sys.executable,
+                    os.path.join(REPO_ROOT, "benchmarks", "gen_stream_fixture.py"),
+                    "--events", str(args.events),
+                    "--ndjson", ndjson,
+                    "--csv", csv,
+                ],
+                env=_cli_env(),
+                check=True,
+            )
         with open(ndjson, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
         print(f"fixture: {len(lines)} events")
 
-        durable_dir = os.path.join(root, "durable")
         feed = os.path.join(root, "feed.ndjson")
         with open(feed, "w", encoding="utf-8") as handle:
             handle.writelines(lines[:50])
@@ -113,7 +137,6 @@ def main(argv: list[str] | None = None) -> int:
                 "--batch-size", str(args.batch_size),
                 "--durable", durable_dir,
                 "--snapshot-every", str(args.snapshot_every),
-                "--writers", str(args.writers),
             ],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
@@ -132,15 +155,9 @@ def main(argv: list[str] | None = None) -> int:
             killed = False
 
             def wal_size() -> int:
-                # Sum across the log files of either layout: wal.ndjson
-                # single-writer, wal-<p>.ndjson segments multi-writer.
-                if not os.path.isdir(durable_dir):
-                    return 0
-                return sum(
-                    os.path.getsize(os.path.join(durable_dir, name))
-                    for name in os.listdir(durable_dir)
-                    if name.startswith("wal") and name.endswith(".ndjson")
-                )
+                # Only the live log grows; legacy segments stay frozen.
+                wal = os.path.join(durable_dir, "wal.ndjson")
+                return os.path.getsize(wal) if os.path.exists(wal) else 0
 
             def kill_child(fed: int) -> None:
                 os.kill(child.pid, signal.SIGKILL)
@@ -198,21 +215,17 @@ def main(argv: list[str] | None = None) -> int:
             if name.startswith("wal") and name.endswith(".ndjson")
         )
         print(
-            f"durable dir after crash: {wal_size()} WAL bytes across "
-            f"{len(logs)} log file(s) {logs}, {len(snapshots)} snapshot(s)"
+            f"durable dir after crash: {wal_size()} WAL bytes, log file(s) "
+            f"{logs}, {len(snapshots)} snapshot(s)"
         )
 
         # Resume over the full fixture: the CLI resumes the directory,
-        # replays the WAL delta (merging segments in the multi-writer
-        # layout), then re-feeds the file (idempotent).
+        # replays the WAL delta (after merging any legacy segments), then
+        # re-feeds the file (idempotent).
         resumed_out = os.path.join(root, "resumed.txt")
         batch_out = os.path.join(root, "batch.txt")
         _run_cli(
-            [
-                "ingest", ndjson,
-                "--durable", durable_dir,
-                "--writers", str(args.writers),
-            ],
+            ["ingest", ndjson, "--durable", durable_dir],
             resumed_out,
         )
         _run_cli(["evaluate", csv, "--backend", "dense"], batch_out)

@@ -66,22 +66,6 @@ def _shard_spec(value: str) -> int | str:
     return spec
 
 
-def _writer_spec(value: str) -> int | str:
-    """argparse type for ``--writers``: a positive integer or 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        writers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
-        ) from None
-    if writers < 1:
-        raise argparse.ArgumentTypeError(
-            f"writers must be at least 1, got {writers}"
-        )
-    return writers
-
 #: figure name -> experiment function (all take only keyword arguments we pass).
 FIGURE_FUNCTIONS = {
     "fig1": experiment_module.figure1_old_vs_new,
@@ -97,18 +81,7 @@ FIGURE_FUNCTIONS = {
 
 
 def _add_stream_arguments(subparser: argparse.ArgumentParser) -> None:
-    """``--writers`` / ``--durable`` / ``--snapshot-every`` (ingest + serve)."""
-    subparser.add_argument(
-        "--writers",
-        type=_writer_spec,
-        default=1,
-        metavar="N",
-        help="ingest partition count: N>1 splits ingestion into N "
-        "consistent-hash worker partitions, each with its own queue, "
-        "micro-batcher and (with --durable) WAL segment whose fsyncs "
-        "overlap; 'auto' picks one per CPU (capped); results are "
-        "bit-identical for any count (default 1)",
-    )
+    """``--durable`` / ``--snapshot-every`` (ingest + serve)."""
     subparser.add_argument(
         "--durable",
         metavar="DIR",
@@ -459,7 +432,6 @@ def config_from_args(args: argparse.Namespace):
         max_batch=args.batch_size,
         maxsize=args.queue_size,
         shards=args.shards,
-        writers=getattr(args, "writers", 1),
         durable=args.durable,
         snapshot_every=args.snapshot_every,
     )
@@ -469,8 +441,7 @@ def _make_session(args: argparse.Namespace):
     """Build the session ingest and serve share, via the one front door.
 
     With ``--durable`` the session resumes the directory when it already
-    holds state and starts fresh otherwise; ``--writers N`` (N>1 or
-    'auto') gets a multi-writer session.  Without ``--durable``, plain
+    holds state and starts fresh otherwise.  Without ``--durable``, plain
     in-memory.
     """
     from repro.serve import open_session

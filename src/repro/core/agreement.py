@@ -46,14 +46,14 @@ export protocol behind process sharding
 only the dict path — which has no arrays to chunk or export — falls back to
 serial for every non-serial ``shards=`` spec:
 
-============  =============  ============  =============  ==========  ====================  =========  ==========  ============
-backend       batch_triples  batch_lemma4  shared export  footprints  executor tiers        streaming  durability  multi-writer
-============  =============  ============  =============  ==========  ====================  =========  ==========  ============
-``dict``      no (scalar)    no (scalar)   no             observer    serial only           yes        WAL replay  yes
-``dense``     yes            yes           yes            yes         thread + process      yes        snapshots   yes
-``sparse``    yes            yes           yes            yes         thread + process      yes        snapshots   yes
-``bitset``    yes            yes           yes            yes         thread + process      yes        snapshots   yes
-============  =============  ============  =============  ==========  ====================  =========  ==========  ============
+============  =============  ============  =============  ==========  ====================  =========  ==========
+backend       batch_triples  batch_lemma4  shared export  footprints  executor tiers        streaming  durability
+============  =============  ============  =============  ==========  ====================  =========  ==========
+``dict``      no (scalar)    no (scalar)   no             observer    serial only           yes        WAL replay
+``dense``     yes            yes           yes            yes         thread + process      yes        snapshots
+``sparse``    yes            yes           yes            yes         thread + process      yes        snapshots
+``bitset``    yes            yes           yes            yes         thread + process      yes        snapshots
+============  =============  ============  =============  ==========  ====================  =========  ==========
 
 The same facts are exported machine-readably as
 :data:`BACKEND_CAPABILITIES` (one :class:`BackendCapability` per backend),
@@ -158,9 +158,9 @@ Resume determinism contract
 ---------------------------
 
 Durable sessions extend the streaming contract across process death: a
-session resumed with :meth:`~repro.serve.session.StreamSession.resume`
-serves estimates **bit-identical** to a session that was never
-interrupted, on every backend.  The guarantee decomposes into:
+session resumed by :func:`repro.serve.open_session` serves estimates
+**bit-identical** to a session that was never interrupted, on every
+backend.  The guarantee decomposes into:
 
 * **acknowledged writes survive** — each micro-batch is appended to the
   write-ahead log and fsynced *before* ``apply_batch`` runs, so any event
@@ -188,49 +188,14 @@ The contract is locked by the differential suite's ``resumed`` column
 cadences and corruption modes) and the crash-smoke CI job, which SIGKILLs
 a live durable ingest process and byte-compares the resumed output table.
 
-Multi-writer determinism contract
----------------------------------
-
-Partitioned ingestion (:mod:`repro.serve.multiwriter`, the *multi-writer*
-column) extends both contracts above to N concurrent ingest pipelines
-while keeping every promise bit-exact, on every backend:
-
-* **partition rule** — a response is routed by
-  :func:`~repro.serve.multiwriter.partition_for`: CRC-32 of the worker
-  id's fixed-width little-endian encoding, modulo the writer count.  The
-  assignment depends only on the id (deterministic across processes,
-  stable as new worker ids appear), so *all events for one worker share a
-  partition* and their submission order is preserved by construction —
-  the only ordering the last-write-wins upserts and the order-free
-  dependency ledger require.  Events for different workers update
-  disjoint response cells and commute, which is why partition-scoped
-  ``apply_batch`` interleaving (batches applied in whatever order they
-  complete) cannot change the accumulated matrix;
-* **epoch / merge semantics** — each partition appends to its own WAL
-  segment ``wal-<p>.ndjson`` (same versioned CRC'd record format, with a
-  *per-partition* sequence plus a session-global *epoch* stamped on each
-  record).  Resume truncates each segment's corrupt tail independently,
-  drops snapshot-covered records per partition (slicing boundary
-  straddlers, failing hard on true sequence gaps), and k-way merges the
-  deltas by ``(epoch, partition_seq, partition)`` — any merge that
-  preserves per-partition order rebuilds the same matrix, the tie-break
-  merely makes the replay order reproducible;
-* **fencing invariant** — a snapshot is only written behind a barrier
-  that closes the intake gate and drains every in-flight batch, then
-  bumps the epoch: a snapshot at epoch E covers *exactly* the records
-  with epoch < E in every segment.  A snapshot never observes a torn
-  partition batch, and the per-partition applied sequences in its meta
-  are mutually consistent — so restore + merge-replay is O(delta) per
-  segment and bit-identical to an uninterrupted serial run.
-
-The contract is locked by the differential suite's
-``multiwriter-resumed`` column (25-seed kill/resume fuzz over random
-writer counts, unflushed kills, per-segment tail corruption and torn
-snapshots), the snapshot-fencing unit tests, and the multi-writer
-crash-drill leg of the crash-smoke CI job.  Sessions of either shape are
-built through :func:`repro.serve.open_session` from one validated
-:class:`~repro.serve.SessionConfig` — ``writers=1`` is the classic
-single-applier session and the contracts above apply verbatim.
+Directories in the legacy multi-writer layout (per-partition WAL
+segments ``wal-<p>.ndjson``, written by older releases) resume under the
+same contract: the segments are a frozen history prefix, k-way merged in
+an order that keeps every worker's events in submission order — events of
+different workers update disjoint cells and commute, so the merge rebuilds
+the same matrix — and the single ``wal.ndjson`` continues from there.  The
+differential suite's ``legacy-layout`` column locks this on committed
+fixture directories.
 
 A new backend implements the
 :class:`~repro.data.dense_backend.AgreementBackendBase` contract, gets the
@@ -281,12 +246,9 @@ class BackendCapability:
 
     Attributes mirror the documented columns: the batched bulk reads
     (*batch_triples*/*batch_lemma4*), the shared-memory export behind
-    process sharding, the returned-footprint dependency protocol, the
-    streaming delta-update protocol, and partitioned multi-writer
-    ingestion (every streaming backend serves it: the serve layer routes
-    and merges, the backend only ever sees whole ordered batches).
-    ``estimator_paths`` lists the binary estimator paths the backend
-    serves (see the module docstring).
+    process sharding, the returned-footprint dependency protocol and the
+    streaming delta-update protocol.  ``estimator_paths`` lists the
+    binary estimator paths the backend serves (see the module docstring).
     """
 
     backend: str
@@ -295,7 +257,6 @@ class BackendCapability:
     shared_export: bool
     footprints: bool
     streaming: bool
-    multiwriter: bool
 
     @property
     def estimator_paths(self) -> tuple[str, ...]:
@@ -320,7 +281,6 @@ BACKEND_CAPABILITIES: dict[str, BackendCapability] = {
         shared_export=False,
         footprints=False,
         streaming=True,
-        multiwriter=True,
     ),
     "dense": BackendCapability(
         backend="dense",
@@ -329,7 +289,6 @@ BACKEND_CAPABILITIES: dict[str, BackendCapability] = {
         shared_export=True,
         footprints=True,
         streaming=True,
-        multiwriter=True,
     ),
     "sparse": BackendCapability(
         backend="sparse",
@@ -338,7 +297,6 @@ BACKEND_CAPABILITIES: dict[str, BackendCapability] = {
         shared_export=True,
         footprints=True,
         streaming=True,
-        multiwriter=True,
     ),
     "bitset": BackendCapability(
         backend="bitset",
@@ -347,7 +305,6 @@ BACKEND_CAPABILITIES: dict[str, BackendCapability] = {
         shared_export=True,
         footprints=True,
         streaming=True,
-        multiwriter=True,
     ),
 }
 

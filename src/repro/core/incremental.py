@@ -401,15 +401,13 @@ class IncrementalEvaluator:
         pairs as a set.  Returns the per-batch stats the streaming session
         reports.
 
-        Partition-scoped interleaving is safe: multi-writer sessions
-        (:mod:`repro.serve.multiwriter`) call this with batches from
-        different worker partitions in whatever order they complete.
-        Because a partition owns *all* events of its workers, batches from
-        different partitions touch disjoint response cells — they commute
-        under the last-write-wins upserts — and the ledger's invalidation
-        is order-free over the changed-pair set, so any per-partition-
-        order-preserving interleaving accumulates the same matrix and
-        serves the same bits.
+        Batches of disjoint workers commute: they touch disjoint response
+        cells under the last-write-wins upserts, and the ledger's
+        invalidation is order-free over the changed-pair set.  Resuming a
+        legacy per-partition WAL layout relies on this: its merged replay
+        keeps each worker's events in order but interleaves workers
+        differently from the original stream, and still accumulates the
+        same matrix and serves the same bits.
         """
         batch = [(int(w), int(t), int(label)) for w, t, label in records]
         if not batch:

@@ -2,8 +2,7 @@
 
 The m-worker batch (``MWorkerEstimator.evaluate_all``) is embarrassingly
 parallel across workers, but the first sharded implementation (the removed
-``repro.core.sharded`` module, whose stub now points here)
-paid two costs that routinely made it *slower* than serial: every call
+``repro.core.sharded`` module) paid two costs that routinely made it *slower* than serial: every call
 spawned a fresh process pool, and every shard rebuilt the count matrices,
 vote table and triple-count tensor from the raw arrays.  This module fixes
 both and generalizes the machinery to every vectorized backend:

@@ -8,23 +8,19 @@ batched ``apply_responses`` on every backend, dependency-tracked cache
 invalidation in :class:`~repro.core.incremental.IncrementalEvaluator`):
 
 * :class:`~repro.serve.config.SessionConfig` +
-  :func:`~repro.serve.config.open_session` — the canonical construction
-  path: one validated frozen config (queue bounds, estimator knobs,
-  durability, ``writers``) through one front door that resolves
-  create-vs-resume and single- vs multi-writer dispatch;
+  :func:`~repro.serve.config.open_session` — the construction path: one
+  validated frozen config (queue bounds, estimator knobs, durability)
+  through one front door that creates or resumes the session;
 * :class:`~repro.serve.queue.ResponseQueue` — bounded asyncio queue with
   producer backpressure, coalescing the stream into micro-batches;
-* :class:`~repro.serve.session.StreamSession` — the single-writer session
-  API: ``await submit(...)``, ``await flush()``, ordered batch application
+* :class:`~repro.serve.session.StreamSession` — the session API:
+  ``await submit(...)``, ``await flush()``, ordered batch application
   under a writer lock, snapshot-consistent reads, per-batch invalidation
   stats (see its module docstring for the determinism contract);
-* :mod:`~repro.serve.multiwriter` — N-partition ingestion
-  (consistent-hash worker partitioning, per-partition WAL segments,
-  epoch-fenced snapshots, k-way merge resume) for
-  ``SessionConfig(writers=N)``;
 * :mod:`~repro.serve.sources` — NDJSON / async-iterator adapters;
 * :mod:`~repro.serve.durable` — write-ahead log + atomic snapshots behind
-  ``SessionConfig(durable=...)``;
+  ``SessionConfig(durable=...)``, which also resumes directories in the
+  legacy per-partition segment layout;
 * :mod:`~repro.serve.server` — the ``repro-crowd serve`` TCP front-end.
 
 The locked contract: estimates served from any interleaving of
@@ -32,7 +28,7 @@ micro-batches equal a from-scratch batch build over the accumulated data,
 bit for bit, on every backend (``tests/property/
 test_cross_backend_differential.py``, ``streamed`` column) — and a durable
 session resumed after a kill serves the same bits as one that was never
-interrupted (the ``resumed`` and ``multiwriter-resumed`` columns plus the
+interrupted (the ``resumed`` and ``legacy-layout`` columns plus the
 crash-smoke CI drills).
 """
 
@@ -41,11 +37,6 @@ from repro.serve.durable import (
     DurableStore,
     load_snapshot_file,
     write_snapshot_file,
-)
-from repro.serve.multiwriter import (
-    MultiWriterSession,
-    MultiWriterStore,
-    partition_for,
 )
 from repro.serve.queue import QueueClosed, ResponseQueue
 from repro.serve.session import (
@@ -59,8 +50,6 @@ from repro.serve.sources import feed_session, iter_ndjson, parse_event
 __all__ = [
     "BatchRecord",
     "DurableStore",
-    "MultiWriterSession",
-    "MultiWriterStore",
     "QueueClosed",
     "ResponseQueue",
     "SessionConfig",
@@ -71,7 +60,6 @@ __all__ = [
     "load_snapshot_file",
     "open_session",
     "parse_event",
-    "partition_for",
     "replay_stream",
     "write_snapshot_file",
 ]

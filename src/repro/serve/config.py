@@ -1,77 +1,40 @@
-"""Unified session configuration and the ``open_session`` front door.
+"""Session configuration and the ``open_session`` front door.
 
-Session construction used to sprawl across ~10 keyword knobs repeated on
-``StreamSession.__init__``, ``StreamSession.resume`` and
-``StreamSession.open_durable``, with the create-vs-resume decision left to
-the caller.  :class:`SessionConfig` consolidates every knob into one frozen,
-validated dataclass — including the multi-writer ``writers`` axis — and
-:func:`open_session` is the single front door that turns a config into the
-right session object:
-
-* ``writers == 1`` — a :class:`~repro.serve.session.StreamSession`
-  (resumed from ``durable`` when the directory holds single-writer state,
-  fresh otherwise);
-* ``writers > 1`` (or ``"auto"`` resolving above 1) — a
-  :class:`~repro.serve.multiwriter.MultiWriterSession` with consistent-hash
-  worker partitioning and per-partition WAL segments (resumed via the
-  k-way segment merge when the directory holds multi-writer state).
-
-The legacy keyword arguments and the ``resume``/``open_durable``
-classmethods keep working as thin shims that build a :class:`SessionConfig`
-and emit a :class:`DeprecationWarning`; field names are identical to the
-old keywords, so migration is mechanical::
+:class:`SessionConfig` holds every streaming-session knob in one frozen,
+validated dataclass, and :func:`open_session` is the single front door
+that turns a config into a :class:`~repro.serve.session.StreamSession` —
+resumed from ``durable`` when the directory already holds state, fresh
+otherwise::
 
     from repro.serve import SessionConfig, open_session
 
-    config = SessionConfig(durable="state/", snapshot_every=8, writers=3)
+    config = SessionConfig(durable="state/", snapshot_every=8)
     async with open_session(config) as session:
         await session.submit(worker, task, label)
         await session.flush()
         estimates = await session.evaluate_all()
 
 ``None`` for ``confidence`` / ``backend`` / ``optimize_weights`` means
-"the default for a fresh session, the persisted value on resume" — exactly
-the override semantics the old ``resume`` keywords had.
+"the default for a fresh session, the persisted value on resume".
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exceptions import ConfigurationError, DurableStateError
+from repro.exceptions import ConfigurationError
 
 __all__ = ["SessionConfig", "open_session"]
 
 #: Default confidence level of a fresh session (the paper's headline level).
 DEFAULT_CONFIDENCE = 0.95
 
-#: ``writers="auto"`` never resolves above this many ingest partitions —
-#: beyond a handful, per-partition queues add bookkeeping without adding
-#: overlap (the WAL fsyncs are the only genuinely concurrent stage).
-AUTO_WRITERS_CAP = 4
-
-
-def _warn_legacy(what: str, *, stacklevel: int = 3) -> None:
-    """Deprecation funnel for the pre-``SessionConfig`` construction paths."""
-    warnings.warn(
-        f"{what} is deprecated; build a repro.serve.SessionConfig and call "
-        "repro.serve.open_session(config) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
 
 @dataclass(frozen=True)
 class SessionConfig:
     """Every streaming-session knob, validated once, in one place.
-
-    Field names match the legacy keyword arguments one-to-one (so a legacy
-    call site round-trips by passing the same names), plus the multi-writer
-    ``writers`` axis introduced with :mod:`repro.serve.multiwriter`.
 
     Parameters
     ----------
@@ -83,14 +46,8 @@ class SessionConfig:
     shards:
         Execution spec for incremental recomputes (``1``, ``"auto"``,
         ``"thread:N"``, ``"process:N"`` — see :mod:`repro.core.parallel`).
-    writers:
-        Ingest partition count: ``1`` (the classic single-applier
-        session), an integer ``> 1`` (that many consistent-hash
-        partitions, each with its own queue, micro-batcher and WAL
-        segment), or ``"auto"`` (one per CPU, capped at
-        :data:`AUTO_WRITERS_CAP`).
     maxsize, max_batch:
-        Per-queue bound (producer backpressure) and micro-batch cap.
+        Queue bound (producer backpressure) and micro-batch cap.
     auto_extend:
         Grow the evaluator for unseen worker/task ids (default).
     durable:
@@ -107,7 +64,6 @@ class SessionConfig:
     backend: str | None = None
     optimize_weights: bool | None = None
     shards: int | str = 1
-    writers: int | str = 1
     maxsize: int = 4096
     max_batch: int = 256
     auto_extend: bool = True
@@ -129,15 +85,6 @@ class SessionConfig:
                 f"{sorted(BACKEND_CHOICES)}"
             )
         parse_shard_spec(self.shards)  # raises ConfigurationError when malformed
-        if self.writers != "auto" and (
-            not isinstance(self.writers, int)
-            or isinstance(self.writers, bool)
-            or self.writers < 1
-        ):
-            raise ConfigurationError(
-                f"writers must be a positive integer or 'auto', got "
-                f"{self.writers!r}"
-            )
         if self.maxsize < 1:
             raise ConfigurationError(
                 f"maxsize must be at least 1, got {self.maxsize}"
@@ -171,37 +118,23 @@ class SessionConfig:
     def resolved_optimize_weights(self) -> bool:
         return True if self.optimize_weights is None else self.optimize_weights
 
-    def resolved_writers(self) -> int:
-        """The concrete ingest partition count (``"auto"`` resolved)."""
-        if self.writers == "auto":
-            return max(1, min(AUTO_WRITERS_CAP, os.cpu_count() or 1))
-        return int(self.writers)
-
     def replace(self, **changes) -> "SessionConfig":
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
 
 def open_session(config: SessionConfig | None = None, **fields):
-    """Build the right (unstarted) session for ``config`` — the front door.
+    """Build the (unstarted) session for ``config`` — the front door.
 
-    Handles create-vs-resume and the single- vs multi-writer dispatch in
-    one place:
-
-    * no ``durable`` — a fresh in-memory session;
-    * ``durable`` holding multi-writer state (``wal-<p>.ndjson`` segments)
-      — a :class:`~repro.serve.multiwriter.MultiWriterSession` resumed via
-      the k-way segment merge, whatever ``writers`` says (the new count
-      only governs where *new* events land);
-    * ``durable`` holding single-writer state — a resumed
-      :class:`~repro.serve.session.StreamSession` (``writers`` must be 1:
-      multi-writer segments cannot continue a ``wal.ndjson`` history);
-    * ``durable`` empty or unset — a fresh session of the requested shape.
+    A ``durable`` directory that already holds state (a log, snapshots or
+    legacy WAL segments) is resumed; anything else gets a fresh session.
+    Resuming only reads files: the session opens its log in ``start()``,
+    so one that is dropped unstarted holds no handle.
 
     Accepts a prepared :class:`SessionConfig`, bare fields
-    (``open_session(writers=3, durable=...)``), or both (fields override
-    the config).  The returned session is not yet running: enter it with
-    ``async with`` (or call ``start()`` under a running event loop).
+    (``open_session(durable=..., max_batch=64)``), or both (fields
+    override the config).  Enter the returned session with ``async with``
+    (or call ``start()`` under a running event loop).
     """
     if config is None:
         config = SessionConfig(**fields)
@@ -213,22 +146,8 @@ def open_session(config: SessionConfig | None = None, **fields):
         config = config.replace(**fields)
 
     from repro.serve.durable import DurableStore
-    from repro.serve.multiwriter import MultiWriterSession, MultiWriterStore
     from repro.serve.session import StreamSession, _resume_session
 
-    writers = config.resolved_writers()
-    if config.durable is not None:
-        directory = Path(config.durable)
-        if MultiWriterStore.has_segments(directory):
-            return MultiWriterSession.open(config)
-        if DurableStore.has_state(directory):
-            if writers > 1:
-                raise DurableStateError(
-                    f"durable directory {directory} holds single-writer state "
-                    "(wal.ndjson); resume it with writers=1 — multi-writer "
-                    "segments cannot continue a single-writer history"
-                )
-            return _resume_session(config)
-    if writers > 1:
-        return MultiWriterSession.open(config)
+    if config.durable is not None and DurableStore.has_state(config.durable):
+        return _resume_session(config)
     return StreamSession(config=config)

@@ -2,8 +2,8 @@
 
 The streaming subsystem (:mod:`repro.serve`) keeps all state in memory; a
 crash replays the world from scratch.  This module is the persistence layer
-behind ``StreamSession(durable=...)`` / ``StreamSession.resume(...)``,
-built from two artifacts living in one directory:
+behind ``SessionConfig(durable=...)``, built from two artifacts living in
+one directory:
 
 * an append-only NDJSON **write-ahead log** (``wal.ndjson``) — the applier
   fsyncs each micro-batch record *before* applying it, so any event whose
@@ -34,11 +34,7 @@ Every other line is a batch record::
 
 ``seq`` is the inclusive 1-based sequence range of the batch's events in
 submission order; ``crc`` is the CRC-32 of the canonical JSON encoding of
-the record without the ``crc`` key (sorted keys, no whitespace).  Records
-written by a multi-writer session (:mod:`repro.serve.multiwriter`) carry
-one extra key — ``"epoch"``, the session-global snapshot-fence epoch the
-record was appended under — which participates in the CRC; single-writer
-logs never write it, so the on-disk ``wal.ndjson`` format is unchanged.  A missing
+the record without the ``crc`` key (sorted keys, no whitespace).  A missing
 or future-version header raises
 :class:`~repro.exceptions.DurableStateError`; a record that fails to
 decode, fails its CRC, or lacks its trailing newline marks the **tail** of
@@ -50,6 +46,22 @@ with garbage).  Records are idempotent under replay: a record whose
 duplicated batches (or replaying twice) cannot double-apply; a *gap* in
 the sequence numbering, by contrast, means data loss in the middle of the
 log and raises.
+
+Legacy segment layout (read-only)
+---------------------------------
+
+Older releases could ingest through several partitions, each appending to
+its own segment ``wal-<p>.ndjson`` (same record format, with a
+*per-partition* sequence and one extra key, ``"epoch"``, that takes part
+in the CRC).  Their snapshots carry the per-partition applied sequences
+and segment offsets under the ``"multiwriter"`` meta key.  Such a
+directory still resumes, as a frozen prefix of the history: the segments
+are k-way merged by ``(epoch, sequence, partition)`` — events of
+different workers commute, so any merge that keeps each segment's order
+rebuilds the same matrix — or skipped when the restored snapshot is a
+single-WAL one (taken after them).  ``wal.ndjson`` then continues the
+global sequence from the segment total.  Segments are only ever read;
+``epoch`` is never written.
 
 Snapshot format (version 1)
 ---------------------------
@@ -67,13 +79,15 @@ the next older one (pure WAL replay when none survives).
 
 The resume determinism contract lives with the streaming contract in
 :mod:`repro.core.agreement`: a resumed session is bit-identical to one
-that was never interrupted, locked by the ``resumed`` fuzz column of the
-cross-backend differential suite and the crash-smoke CI job.
+that was never interrupted, locked by the ``resumed`` and
+``legacy-layout`` columns of the cross-backend differential suite and the
+crash-smoke CI job.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import zlib
@@ -105,8 +119,18 @@ SNAPSHOT_FORMAT = "repro-durable-snapshot"
 SNAPSHOT_VERSION = 1
 SNAPSHOT_SUFFIX = ".snap"
 
+#: Legacy per-partition WAL segments: ``wal-<partition>.ndjson``.
+SEGMENT_PREFIX = "wal-"
+SEGMENT_SUFFIX = ".ndjson"
+#: Snapshot meta key of the legacy segment layout (per-partition fences).
+SEGMENT_META_KEY = "multiwriter"
+
 #: Fixed-width snapshot footer: b"sha256:" + 64 hex digits + b"\n".
 _FOOTER_LEN = 7 + 64 + 1
+
+#: A parsed WAL record: ``(epoch, first_seq, last_seq, events)``; epoch is
+#: 0 unless the record comes from a legacy segment.
+_Record = tuple[int, int, int, list[tuple[int, int, int]]]
 
 
 def _canonical(payload: dict) -> bytes:
@@ -227,6 +251,127 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+
+
+# --------------------------------------------------------------------------- #
+# WAL parsing (the log and the legacy segments share the record format)
+# --------------------------------------------------------------------------- #
+
+
+def _parse_record(raw: bytes) -> _Record | None:
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(record, dict):
+        return None
+    seq = record.get("seq")
+    events = record.get("events")
+    crc = record.get("crc")
+    epoch = record.get("epoch")
+    if (
+        not isinstance(seq, list)
+        or len(seq) != 2
+        or not isinstance(events, list)
+        or not isinstance(crc, int)
+        or (epoch is not None and not isinstance(epoch, int))
+    ):
+        return None
+    if _record_crc(seq, events, epoch) != crc:
+        return None
+    try:
+        parsed = [(int(w), int(t), int(label)) for w, t, label in events]
+    except (TypeError, ValueError):
+        return None
+    return int(epoch or 0), int(seq[0]), int(seq[1]), parsed
+
+
+def _scan_log(path: Path, start_bytes: int = 0) -> tuple[list[_Record], int, int]:
+    """Parse one log: ``(valid records, discarded records, valid bytes)``.
+
+    Stops at the first record that is truncated (no trailing newline),
+    undecodable, structurally wrong or CRC-mismatched; everything from
+    that point on is the tail residue of a crash and is counted as
+    discarded.  ``valid bytes`` is the absolute offset the log must be
+    truncated to before it is appended to again.
+    """
+    if not path.exists():
+        return [], 0, 0
+    data = path.read_bytes()
+    if not data:
+        return [], 0, 0
+    lines = data.split(b"\n")
+    # A trailing newline leaves one empty sentinel chunk; without it the
+    # last chunk is a partial record.
+    complete, partial = lines[:-1], lines[-1]
+    if not complete:
+        return [], 1, 0
+    try:
+        header = json.loads(complete[0])
+    except json.JSONDecodeError as error:
+        raise DurableStateError(f"WAL {path} has a malformed header line") from error
+    if not isinstance(header, dict) or header.get("format") != WAL_FORMAT:
+        raise DurableStateError(
+            f"WAL {path} does not carry the versioned {WAL_FORMAT!r} header"
+        )
+    if header.get("version") != WAL_VERSION:
+        raise DurableStateError(
+            f"WAL {path} has unsupported version {header.get('version')!r} "
+            f"(this build reads {WAL_VERSION})"
+        )
+    header_bytes = len(complete[0]) + 1
+    if start_bytes > header_bytes and start_bytes <= len(data):
+        # Seek past the snapshot-covered prefix.  Snapshot offsets are
+        # recorded at record boundaries of an append-only file, so the
+        # suffix starts exactly at a record (or is empty).
+        tail_lines = data[start_bytes:].split(b"\n")
+        complete, partial = tail_lines[:-1], tail_lines[-1]
+        scan_from = 0
+        valid_bytes = start_bytes
+    else:
+        scan_from = 1
+        valid_bytes = header_bytes
+    records: list[_Record] = []
+    discarded = 1 if partial else 0
+    for index, raw in enumerate(complete[scan_from:], start=scan_from):
+        record = _parse_record(raw)
+        if record is None:
+            # This record and everything after it (including any partial
+            # final line) is the crash tail.
+            discarded = len(complete) - index + (1 if partial else 0)
+            break
+        records.append(record)
+        valid_bytes += len(raw) + 1
+    return records, discarded, valid_bytes
+
+
+def _uncovered(
+    records: list[_Record], applied: int, path: Path
+) -> list[_Record]:
+    """The records beyond ``applied``, a straddler sliced to its suffix.
+
+    Records already covered (``last <= applied``: the restored snapshot or
+    a duplicate) are skipped; a *gap* — the next surviving record starting
+    past ``applied + 1`` — is data loss in the middle of the history, not
+    crash residue, and raises.
+    """
+    pending = []
+    for epoch, first, last, events in records:
+        if last <= applied:
+            continue
+        if first > applied + 1:
+            raise DurableStateError(
+                f"sequence gap in {path}: restored state ends at {applied} "
+                f"but the next surviving record starts at {first}"
+            )
+        if first <= applied:
+            events = events[applied - first + 1 :]
+            first = applied + 1
+        pending.append((epoch, first, last, events))
+        applied = last
+    return pending
+
+
 # --------------------------------------------------------------------------- #
 # The durable store
 # --------------------------------------------------------------------------- #
@@ -251,10 +396,6 @@ class DurableStore:
         How many of the newest snapshots survive pruning.  More than one,
         so a snapshot that fails validation on resume (killed mid-rename
         races are impossible, but torn disks are not) can fall back.
-    wal_name:
-        Filename of the log inside ``directory``.  The default is the
-        single-writer ``wal.ndjson``; multi-writer sessions open one store
-        per partition with ``wal-<partition>.ndjson`` segment names.
     """
 
     def __init__(
@@ -264,7 +405,6 @@ class DurableStore:
         snapshot_every: int | None = None,
         fsync: bool = True,
         keep_snapshots: int = 2,
-        wal_name: str = WAL_NAME,
     ) -> None:
         if snapshot_every is not None and snapshot_every < 1:
             raise ConfigurationError(
@@ -278,7 +418,6 @@ class DurableStore:
         self.snapshot_every = snapshot_every
         self.fsync = fsync
         self.keep_snapshots = keep_snapshots
-        self.wal_name = wal_name
         self._log: IO[str] | None = None
         self._total_batches = 0
         self._since_snapshot = 0
@@ -300,7 +439,7 @@ class DurableStore:
 
     @property
     def wal_path(self) -> Path:
-        return self.directory / self.wal_name
+        return self.directory / WAL_NAME
 
     @property
     def wal_bytes(self) -> int:
@@ -309,12 +448,27 @@ class DurableStore:
 
     @classmethod
     def has_state(cls, directory: str | Path) -> bool:
-        """True when ``directory`` holds resumable state (WAL or snapshot)."""
+        """True when ``directory`` holds resumable state.
+
+        That is a non-empty WAL, a snapshot, or legacy WAL segments.
+        """
         directory = Path(directory)
         wal = directory / WAL_NAME
         if wal.exists() and wal.stat().st_size > 0:
             return True
-        return any(directory.glob(f"snapshot-*{SNAPSHOT_SUFFIX}"))
+        if any(directory.glob(f"snapshot-*{SNAPSHOT_SUFFIX}")):
+            return True
+        return bool(cls.segment_paths(directory))
+
+    @staticmethod
+    def segment_paths(directory: str | Path) -> dict[int, Path]:
+        """Legacy ``wal-<p>.ndjson`` segments keyed by partition."""
+        found: dict[int, Path] = {}
+        for path in Path(directory).glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"):
+            stem = path.name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)]
+            if stem.isdigit():
+                found[int(stem)] = path
+        return found
 
     def snapshot_paths(self) -> list[Path]:
         """Snapshot files, newest (highest applied sequence) first."""
@@ -343,10 +497,9 @@ class DurableStore:
             )
         self.directory.mkdir(parents=True, exist_ok=True)
         if resume and self.wal_path.exists():
-            if self._scan_valid_bytes is not None:
-                valid_bytes = self._scan_valid_bytes
-            else:
-                _, _, valid_bytes = self._scan_log()
+            valid_bytes = self._scan_valid_bytes
+            if valid_bytes is None:
+                _, _, valid_bytes = _scan_log(self.wal_path)
             with open(self.wal_path, "r+b") as handle:
                 handle.truncate(valid_bytes)
         self._log = open(self.wal_path, "a", encoding="utf-8")
@@ -372,26 +525,18 @@ class DurableStore:
         first_seq: int,
         last_seq: int,
         events: list[tuple[int, int, int]],
-        epoch: int | None = None,
     ) -> None:
         """Append one micro-batch record and (by default) fsync it.
 
         Called by the session's applier *before* ``apply_batch``: once this
         returns, a crash at any later point replays the batch from the log,
         so a flush acknowledged after the apply can never lose events.
-        Multi-writer sessions pass ``epoch`` (the current snapshot-fence
-        epoch) so the segment merge on resume has a global order key;
-        single-writer appends leave it ``None`` and the record format is
-        byte-identical to version-1 logs written before epochs existed.
         """
         if self._log is None:
             raise ConfigurationError("the durable store is not open")
         seq = [int(first_seq), int(last_seq)]
         payload = [[int(w), int(t), int(label)] for w, t, label in events]
-        record = {"seq": seq, "events": payload}
-        if epoch is not None:
-            record["epoch"] = int(epoch)
-        record["crc"] = _record_crc(seq, payload, record.get("epoch"))
+        record = {"seq": seq, "events": payload, "crc": _record_crc(seq, payload)}
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._log.write(line)
         self._log.write("\n")
@@ -414,117 +559,56 @@ class DurableStore:
         (the log was truncated below the snapshot) falls back to a full
         scan, which replay then deduplicates by sequence.
         """
-        return [
-            (first, last, events)
-            for _, first, last, events in self.read_batches_with_epoch(start_bytes)
-        ]
-
-    def read_batches_with_epoch(
-        self, start_bytes: int = 0
-    ) -> list[tuple[int, int, int, list[tuple[int, int, int]]]]:
-        """Like :meth:`read_batches`, keeping each record's fence epoch.
-
-        Returns ``(epoch, first, last, events)`` tuples; records without an
-        ``epoch`` key (single-writer logs) read as epoch 0.  The segment
-        merge in :mod:`repro.serve.multiwriter` orders on this.
-        """
-        batches, discarded, valid_bytes = self._scan_log(start_bytes)
+        records, discarded, valid_bytes = _scan_log(self.wal_path, start_bytes)
         self.discarded_tail_records = discarded
         self._scan_valid_bytes = valid_bytes
-        return batches
+        return [(first, last, events) for _, first, last, events in records]
 
-    def _scan_log(
-        self, start_bytes: int = 0
-    ) -> tuple[list[tuple[int, int, int, list[tuple[int, int, int]]]], int, int]:
-        """Parse the WAL: ``(valid batches, discarded records, valid bytes)``.
+    def read_delta(
+        self, applied: int, start_bytes: int = 0
+    ) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+        """The WAL batches beyond sequence ``applied``, ready to replay.
 
-        Stops at the first record that is truncated (no trailing newline),
-        undecodable, structurally wrong or CRC-mismatched; everything from
-        that point on is the tail residue of a crash and is counted as
-        discarded.  ``valid bytes`` is the absolute offset the log must be
-        truncated to before it is appended to again.
+        Idempotent: covered records (the restored state, or duplicates)
+        are skipped and a record straddling ``applied`` is sliced to its
+        uncovered suffix; a sequence gap raises
+        :class:`~repro.exceptions.DurableStateError`.
         """
-        if not self.wal_path.exists():
-            return [], 0, 0
-        data = self.wal_path.read_bytes()
-        if not data:
-            return [], 0, 0
-        lines = data.split(b"\n")
-        # A trailing newline leaves one empty sentinel chunk; without it the
-        # last chunk is a partial record.
-        complete, partial = lines[:-1], lines[-1]
-        if not complete:
-            return [], 1, 0
-        try:
-            header = json.loads(complete[0])
-        except json.JSONDecodeError as error:
-            raise DurableStateError(
-                f"WAL {self.wal_path} has a malformed header line"
-            ) from error
-        if not isinstance(header, dict) or header.get("format") != WAL_FORMAT:
-            raise DurableStateError(
-                f"WAL {self.wal_path} does not carry the versioned "
-                f"{WAL_FORMAT!r} header"
-            )
-        if header.get("version") != WAL_VERSION:
-            raise DurableStateError(
-                f"WAL {self.wal_path} has unsupported version "
-                f"{header.get('version')!r} (this build reads {WAL_VERSION})"
-            )
-        header_bytes = len(complete[0]) + 1
-        if start_bytes > header_bytes and start_bytes <= len(data):
-            # Seek past the snapshot-covered prefix.  Snapshot offsets are
-            # recorded at record boundaries of an append-only file, so the
-            # suffix starts exactly at a record (or is empty).
-            tail_lines = data[start_bytes:].split(b"\n")
-            complete, partial = tail_lines[:-1], tail_lines[-1]
-            scan_from = 0
-            valid_bytes = start_bytes
-        else:
-            scan_from = 1
-            valid_bytes = header_bytes
-        batches: list[tuple[int, int, int, list[tuple[int, int, int]]]] = []
-        discarded = 1 if partial else 0
-        for index, raw in enumerate(complete[scan_from:], start=scan_from):
-            record = self._parse_record(raw)
-            if record is None:
-                # This record and everything after it (including any partial
-                # final line) is the crash tail.
-                discarded = len(complete) - index + (1 if partial else 0)
-                break
-            batches.append(record)
-            valid_bytes += len(raw) + 1
-        return batches, discarded, valid_bytes
+        records = [(0, *batch) for batch in self.read_batches(start_bytes)]
+        return [
+            (first, last, events)
+            for _, first, last, events in _uncovered(records, applied, self.wal_path)
+        ]
 
-    @staticmethod
-    def _parse_record(
-        raw: bytes,
-    ) -> tuple[int, int, int, list[tuple[int, int, int]]] | None:
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        seq = record.get("seq")
-        events = record.get("events")
-        crc = record.get("crc")
-        epoch = record.get("epoch")
-        if (
-            not isinstance(seq, list)
-            or len(seq) != 2
-            or not isinstance(events, list)
-            or not isinstance(crc, int)
-            or (epoch is not None and not isinstance(epoch, int))
-        ):
-            return None
-        if _record_crc(seq, events, epoch) != crc:
-            return None
-        try:
-            parsed = [(int(w), int(t), int(label)) for w, t, label in events]
-        except (TypeError, ValueError):
-            return None
-        return int(epoch or 0), int(seq[0]), int(seq[1]), parsed
+    def read_legacy_segments(
+        self, fences: dict | None = None
+    ) -> list[list[tuple[int, int, int]]]:
+        """The legacy segments' uncovered batches, in one merged replay order.
+
+        ``fences`` is the ``"multiwriter"`` meta of the restored legacy
+        snapshot (``None`` when replaying from scratch): per-partition
+        applied sequences and segment offsets.  Per segment, independently,
+        the corrupt tail is discarded (the file is left as it is — segments
+        are never appended to again), covered records are skipped and a
+        straddler is sliced; the deltas are then k-way merged by
+        ``(epoch, sequence, partition)``.  Each segment's records are
+        non-decreasing in epoch and increasing in sequence, so the merge
+        keeps each segment's order — the per-worker order the partitioned
+        writers guaranteed, and the only order the last-write-wins matrix
+        depends on.  The result is the one the writing release's own
+        resume replayed.
+        """
+        fences = fences or {}
+        covered = fences.get("partitions") or {}
+        offsets = fences.get("wal_bytes") or {}
+        streams = []
+        for partition, path in sorted(self.segment_paths(self.directory).items()):
+            records, _, _ = _scan_log(path, int(offsets.get(str(partition), 0)))
+            pending = _uncovered(records, int(covered.get(str(partition), 0)), path)
+            streams.append(
+                [(epoch, first, partition, events) for epoch, first, _, events in pending]
+            )
+        return [batch[3] for batch in heapq.merge(*streams, key=lambda b: b[:3])]
 
     # -- snapshots -------------------------------------------------------- #
 

@@ -13,12 +13,7 @@ pay one invalidation pass per batch instead of one per event.
 
 FIFO order is preserved end to end: events leave in exactly the order they
 were accepted, and batches are consumed by a single applier task, so the
-stream's application order is the submission order.  Multi-writer sessions
-(:mod:`repro.serve.multiwriter`) instantiate one queue *per partition*
-(the ``maxsize`` / ``max_batch`` knobs of
-:class:`~repro.serve.config.SessionConfig` apply per queue): each
-partition keeps this single-consumer FIFO discipline, which is how
-per-worker order survives partitioned ingestion.
+stream's application order is the submission order.
 """
 
 from __future__ import annotations

@@ -1,13 +1,10 @@
 """Newline-JSON TCP server over a streaming session.
 
 ``repro-crowd serve`` exposes the streaming ingestion subsystem on a
-socket.  The session underneath comes from the
-:func:`repro.serve.open_session` front door — the CLI flags map onto one
-:class:`~repro.serve.config.SessionConfig` — so the server runs unchanged
-over a single-writer :class:`~repro.serve.session.StreamSession` or a
-partitioned :class:`~repro.serve.multiwriter.MultiWriterSession`
-(``--writers N``): both expose the ``submit`` / ``flush`` / reader surface
-the protocol uses.  Clients write one JSON document per line.  Event lines (the
+socket.  The :class:`~repro.serve.session.StreamSession` underneath comes
+from the :func:`repro.serve.open_session` front door — the CLI flags map
+onto one :class:`~repro.serve.config.SessionConfig`.  Clients write one
+JSON document per line.  Event lines (the
 :func:`~repro.serve.sources.parse_event` shapes) are submitted to the
 session — no per-event reply, so a producer can pipeline at queue speed
 and the bounded queue's backpressure propagates to the socket via TCP flow
@@ -38,12 +35,7 @@ import json
 from typing import Callable
 
 from repro.exceptions import CrowdAssessmentError
-from repro.serve.multiwriter import MultiWriterSession
 from repro.serve.session import StreamSession
-
-#: Either session shape serves the protocol: the handlers only touch the
-#: shared submit/flush/reader surface.
-Session = StreamSession | MultiWriterSession
 from repro.serve.sources import parse_event
 from repro.types import WorkerErrorEstimate
 
@@ -62,7 +54,7 @@ def _estimate_payload(estimate: WorkerErrorEstimate) -> dict:
 
 
 async def _answer_query(
-    session: Session, query: dict, stop: asyncio.Event
+    session: StreamSession, query: dict, stop: asyncio.Event
 ) -> dict:
     kind = query.get("query")
     if kind == "evaluate_all":
@@ -98,7 +90,7 @@ async def _answer_query(
 
 
 async def serve_ndjson(
-    session: Session,
+    session: StreamSession,
     host: str = "127.0.0.1",
     port: int = 0,
     ready: Callable[[str, int], None] | None = None,

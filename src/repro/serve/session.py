@@ -35,35 +35,31 @@ Unseen worker/task ids grow the evaluator through the delta extension path
 (no backend rebuild) once per batch, so a live stream never needs
 pre-declared dimensions.
 
-Construction — :class:`~repro.serve.config.SessionConfig` is canonical
-----------------------------------------------------------------------
+Construction
+------------
 
-The canonical way to build a session is a validated, frozen
-:class:`~repro.serve.config.SessionConfig` handed to
-:func:`repro.serve.open_session`, which resolves create-vs-resume and the
-single- vs multi-writer dispatch in one place.  The legacy keyword
-arguments on ``StreamSession.__init__`` and the ``resume`` /
-``open_durable`` classmethods keep working as thin shims that build the
-equivalent config and emit a :class:`DeprecationWarning`.
+Sessions are built from a validated, frozen
+:class:`~repro.serve.config.SessionConfig` by
+:func:`repro.serve.open_session`, which resumes a durable directory that
+already holds state and starts fresh otherwise.
 
 Durability (``SessionConfig(durable=...)``)
 -------------------------------------------
 
-A session given a durable directory (or a
-:class:`~repro.serve.durable.DurableStore`) appends every micro-batch to a
-write-ahead log — fsynced *before* ``apply_batch`` — and, when
-``snapshot_every`` is set, periodically checkpoints the full evaluator
-state with atomic temp-file + rename snapshots.  After a crash,
-``open_session`` on the same directory restores the newest valid snapshot,
-replays only the WAL records beyond it (idempotently — duplicated or
-partially-covered records cannot double-apply) and reopens the log,
-restarting in O(delta).  The resumed session serves estimates bit-identical
-to a session that was never interrupted; the contract and on-disk formats
-are documented in :mod:`repro.serve.durable` and the capability matrix in
-:mod:`repro.core.agreement`.  Multi-writer ingestion (N partitioned
-queues, per-partition WAL segments, fenced snapshots) lives in
-:mod:`repro.serve.multiwriter` and reuses this module's applier discipline
-per partition.
+A durable session appends every micro-batch to a write-ahead log —
+fsynced *before* ``apply_batch`` — and, when ``snapshot_every`` is set,
+periodically checkpoints the full evaluator state with atomic temp-file +
+rename snapshots.  After a crash, ``open_session`` on the same directory
+restores the newest valid snapshot and replays only the WAL records beyond
+it (idempotently — duplicated or partially-covered records cannot
+double-apply), restarting in O(delta); ``start()`` then truncates any
+crash tail off the log and reopens it for append.  Until ``start()`` the
+session holds no file handle, so one that is never started leaks nothing.
+The resumed session serves estimates bit-identical to a session that was
+never interrupted; the contract and on-disk formats (including the
+read-only legacy segment layout) are documented in
+:mod:`repro.serve.durable` and the capability matrix in
+:mod:`repro.core.agreement`.
 """
 
 from __future__ import annotations
@@ -71,60 +67,29 @@ from __future__ import annotations
 import asyncio
 from collections.abc import AsyncIterable, Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core.incremental import BatchApplyStats, IncrementalEvaluator
 from repro.core.spammer_filter import DEFAULT_SPAMMER_THRESHOLD
 from repro.data.response_matrix import ResponseMatrix
-from repro.exceptions import (
-    ConfigurationError,
-    DurableStateError,
-    InsufficientDataError,
-)
-from repro.serve.config import SessionConfig, _warn_legacy
-from repro.serve.durable import DurableStore
+from repro.exceptions import ConfigurationError, InsufficientDataError
+from repro.serve.config import SessionConfig
+from repro.serve.durable import SEGMENT_META_KEY, DurableStore
 from repro.serve.queue import ResponseQueue
 from repro.types import WorkerErrorEstimate
 
 __all__ = ["BatchRecord", "SessionSnapshot", "StreamSession", "replay_stream"]
 
-#: The keyword knobs the pre-``SessionConfig`` constructor accepted; they
-#: map one-to-one onto ``SessionConfig`` fields.
-_LEGACY_INIT_KWARGS = frozenset(
-    {
-        "maxsize",
-        "max_batch",
-        "auto_extend",
-        "confidence",
-        "backend",
-        "shards",
-        "durable",
-        "snapshot_every",
-        "fsync",
-    }
-)
 
-
-def _majority_rates(
-    evaluator: IncrementalEvaluator,
-) -> dict[int, float | None]:
-    """Per-worker majority-disagreement rates (None = not scorable yet).
-
-    Shared by the single- and multi-writer sessions' ``spammer_scores``;
-    callers hold the session writer lock.
-    """
-    matrix = evaluator.matrix
-    backend = evaluator._backend
-    if backend is not None:
-        rates = backend.majority_disagreement_rates()
-    else:
-        rates = []
-        for worker in range(matrix.n_workers):
-            try:
-                rates.append(matrix.disagreement_with_majority(worker))
-            except InsufficientDataError:
-                rates.append(None)
-    return dict(enumerate(rates))
+def _new_evaluator(config: SessionConfig) -> IncrementalEvaluator:
+    """A fresh evaluator with small dimensions (the stream grows it)."""
+    return IncrementalEvaluator(
+        n_workers=3,
+        n_tasks=1,
+        confidence=config.resolved_confidence,
+        optimize_weights=config.resolved_optimize_weights,
+        backend=config.resolved_backend,
+        shards=config.shards,
+    )
 
 
 def replay_stream(
@@ -170,19 +135,12 @@ def replay_stream(
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """One applied micro-batch: position in the stream plus its effects.
-
-    ``partition`` is the ingest partition the batch came from — always 0
-    for the single-writer :class:`StreamSession`; multi-writer sessions
-    record the consistent-hash partition, and ``first_seq``/``last_seq``
-    are then *per-partition* sequence numbers.
-    """
+    """One applied micro-batch: position in the stream plus its effects."""
 
     index: int
     first_seq: int
     last_seq: int
     stats: BatchApplyStats
-    partition: int = 0
 
 
 @dataclass(frozen=True)
@@ -198,11 +156,9 @@ class SessionSnapshot:
 class StreamSession:
     """Async front-end that feeds a response stream into the evaluator.
 
-    The canonical construction path is a
-    :class:`~repro.serve.config.SessionConfig` through
-    :func:`repro.serve.open_session` (which also resolves create-vs-resume
-    for durable directories and dispatches to the multi-writer session for
-    ``writers > 1``)::
+    Built by :func:`repro.serve.open_session` from a
+    :class:`~repro.serve.config.SessionConfig` (which also resumes durable
+    directories that hold state)::
 
         from repro.serve import SessionConfig, open_session
 
@@ -220,17 +176,9 @@ class StreamSession:
         applies to a default-constructed evaluator — configure an explicit
         one directly.
     config:
-        The :class:`~repro.serve.config.SessionConfig` for this session.
-        ``writers`` must resolve to 1 (multi-writer sessions are built by
-        ``open_session``).
-    **legacy:
-        The pre-``SessionConfig`` keyword knobs (``maxsize`` /
-        ``max_batch`` / ``auto_extend`` / ``confidence`` / ``backend`` /
-        ``shards`` / ``durable`` / ``snapshot_every`` / ``fsync``).
-        Deprecated: they are folded into an equivalent config (field names
-        match one-to-one) with a :class:`DeprecationWarning`; ``durable``
-        may still be a prepared :class:`~repro.serve.durable.DurableStore`.
-        Mutually exclusive with ``config``.
+        The :class:`~repro.serve.config.SessionConfig` for this session
+        (the defaults when omitted).  A ``durable`` directory must be empty:
+        only ``open_session`` resumes existing state.
     """
 
     def __init__(
@@ -238,66 +186,31 @@ class StreamSession:
         evaluator: IncrementalEvaluator | None = None,
         *,
         config: SessionConfig | None = None,
-        _store: DurableStore | None = None,
-        **legacy,
     ) -> None:
-        store = _store
-        if config is not None:
-            if legacy:
-                raise ConfigurationError(
-                    "pass either config=SessionConfig(...) or the legacy "
-                    "keyword arguments, not both"
-                )
-            if not isinstance(config, SessionConfig):
-                raise ConfigurationError(
-                    "config must be a repro.serve.SessionConfig, got "
-                    f"{type(config).__name__}"
-                )
-        else:
-            unknown = set(legacy) - _LEGACY_INIT_KWARGS
-            if unknown:
-                raise TypeError(
-                    "StreamSession() got unexpected keyword arguments "
-                    f"{sorted(unknown)}"
-                )
-            if legacy:
-                _warn_legacy(
-                    "constructing StreamSession from keyword arguments"
-                )
-            durable = legacy.pop("durable", None)
-            if isinstance(durable, DurableStore):
-                # A prepared store keeps its own cadence/fsync settings;
-                # the config records where it lives.
-                store = durable
-                durable = durable.directory
-            config = SessionConfig(durable=durable, **legacy)
-        if config.resolved_writers() != 1:
+        if config is None:
+            config = SessionConfig()
+        elif not isinstance(config, SessionConfig):
             raise ConfigurationError(
-                "StreamSession is single-writer; use repro.serve."
-                f"open_session() for writers={config.writers!r}"
+                "config must be a repro.serve.SessionConfig, got "
+                f"{type(config).__name__}"
             )
-        if evaluator is None:
-            evaluator = IncrementalEvaluator(
-                n_workers=3,
-                n_tasks=1,
-                confidence=config.resolved_confidence,
-                optimize_weights=config.resolved_optimize_weights,
-                backend=config.resolved_backend,
-                shards=config.shards,
-            )
-        if store is None and config.durable is not None:
-            store = DurableStore(
+        self._config = config
+        self._evaluator = evaluator if evaluator is not None else _new_evaluator(config)
+        self._queue = ResponseQueue(
+            maxsize=config.maxsize, max_batch=config.max_batch
+        )
+        self._durable = (
+            None
+            if config.durable is None
+            else DurableStore(
                 config.durable,
                 snapshot_every=config.snapshot_every,
                 fsync=config.fsync,
             )
-        self._config = config
-        self._evaluator = evaluator
-        self._queue = ResponseQueue(
-            maxsize=config.maxsize, max_batch=config.max_batch
         )
-        self._auto_extend = config.auto_extend
-        self._durable = store
+        #: True once ``_resume_session`` restored this session from disk:
+        #: ``start()`` then reopens the existing log instead of creating one.
+        self._resumed = False
         self._lock = asyncio.Lock()
         self._applied = asyncio.Condition()
         self._submitted_seq = 0
@@ -329,13 +242,18 @@ class StreamSession:
         await self.close()
 
     def start(self) -> None:
-        """Start the applier task (idempotent; ``async with`` does this)."""
+        """Open the durable log and start the applier task.
+
+        Idempotent; ``async with`` does this.  Synchronous, but needs a
+        running event loop.  A resumed session's log is truncated back to
+        its last valid record here, then reopened for append; a fresh
+        session refuses a directory that already holds state.
+        """
         if self._applier is None:
+            loop = asyncio.get_running_loop()
             if self._durable is not None:
-                # No-op for a store resume() already opened; a fresh open
-                # refuses a directory with existing state.
-                self._durable.open(resume=False)
-            self._applier = asyncio.get_running_loop().create_task(self._run())
+                self._durable.open(resume=self._resumed)
+            self._applier = loop.create_task(self._run())
 
     async def close(self) -> None:
         """Drain and stop: apply everything submitted, then stop the applier.
@@ -360,7 +278,7 @@ class StreamSession:
         final snapshot, leaving the durable directory exactly as a SIGKILL
         would (modulo the OS page cache): acknowledged batches in the WAL,
         possibly a half-applied one.  The kill/resume fuzz suite uses this
-        to exercise :meth:`resume` at arbitrary cut points in-process.
+        to exercise resume at arbitrary cut points in-process.
         """
         if self._applier is not None:
             self._applier.cancel()
@@ -430,7 +348,7 @@ class StreamSession:
         self._raise_if_failed()
         if self._applier is None:
             raise ConfigurationError(
-                "the session is not running; use 'async with StreamSession()' "
+                "the session is not running; use 'async with open_session()' "
                 "or call start() first"
             )
         await self._queue.put((int(worker), int(task), int(label)))
@@ -514,7 +432,18 @@ class StreamSession:
         near-spammers (Section III-E2's filter criterion).
         """
         async with self._lock:
-            return _majority_rates(self._evaluator)
+            backend = self._evaluator._backend
+            if backend is not None:
+                rates = backend.majority_disagreement_rates()
+            else:
+                matrix = self._evaluator.matrix
+                rates = []
+                for worker in range(matrix.n_workers):
+                    try:
+                        rates.append(matrix.disagreement_with_majority(worker))
+                    except InsufficientDataError:
+                        rates.append(None)
+            return dict(enumerate(rates))
 
     async def snapshot(self) -> SessionSnapshot:
         """Deep-copied consistent state at the last applied batch boundary.
@@ -554,7 +483,7 @@ class StreamSession:
                     self._durable.append_batch(first_seq, last_seq, batch)
                 async with self._lock:
                     stats = self._evaluator.apply_batch(
-                        batch, auto_extend=self._auto_extend
+                        batch, auto_extend=self._config.auto_extend
                     )
                 self._applied_seq = last_seq
                 self._batches.append(
@@ -581,118 +510,27 @@ class StreamSession:
             async with self._applied:
                 self._applied.notify_all()
 
-    # ------------------------------------------------------------------ #
-    # Durable resume
-    # ------------------------------------------------------------------ #
 
-    @classmethod
-    def resume(
-        cls,
-        directory: str | Path | DurableStore,
-        *,
-        confidence: float | None = None,
-        backend: str | None = None,
-        optimize_weights: bool | None = None,
-        shards: int | str = 1,
-        maxsize: int = 4096,
-        max_batch: int = 256,
-        auto_extend: bool = True,
-        snapshot_every: int | None = None,
-        fsync: bool = True,
-    ) -> "StreamSession":
-        """Rebuild a session from a durable directory in O(delta).
+def _resume_session(config: SessionConfig) -> StreamSession:
+    """Rebuild a session from ``config.durable`` in O(delta).
 
-        Deprecated shim: build a :class:`~repro.serve.config.SessionConfig`
-        and call :func:`repro.serve.open_session` instead (it resumes a
-        directory that holds state).  The resume semantics are unchanged:
-        newest valid snapshot, idempotent replay of the WAL delta, crash
-        tail truncated, sequence numbering continued; ``confidence`` /
-        ``backend`` / ``optimize_weights`` default to the persisted
-        configuration and override it when passed.  Raises
-        :class:`~repro.exceptions.DurableStateError` on a sequence *gap*
-        between the restored state and the surviving log — data loss in
-        the middle of the history, not crash residue.
-        """
-        _warn_legacy("StreamSession.resume()")
-        store = directory if isinstance(directory, DurableStore) else None
-        config = SessionConfig(
-            confidence=confidence,
-            backend=backend,
-            optimize_weights=optimize_weights,
-            shards=shards,
-            maxsize=maxsize,
-            max_batch=max_batch,
-            auto_extend=auto_extend,
-            durable=store.directory if store is not None else directory,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-        )
-        return _resume_session(config, store=store)
-
-    @classmethod
-    def open_durable(
-        cls,
-        directory: str | Path,
-        *,
-        confidence: float | None = None,
-        backend: str | None = None,
-        optimize_weights: bool | None = None,
-        shards: int | str = 1,
-        maxsize: int = 4096,
-        max_batch: int = 256,
-        auto_extend: bool = True,
-        snapshot_every: int | None = None,
-        fsync: bool = True,
-    ) -> "StreamSession":
-        """Resume ``directory`` when it holds state, else start fresh in it.
-
-        Deprecated shim for :func:`repro.serve.open_session`, which is the
-        create-or-resume front door now.
-        """
-        _warn_legacy("StreamSession.open_durable()")
-        from repro.serve.config import open_session
-
-        return open_session(
-            SessionConfig(
-                confidence=confidence,
-                backend=backend,
-                optimize_weights=optimize_weights,
-                shards=shards,
-                maxsize=maxsize,
-                max_batch=max_batch,
-                auto_extend=auto_extend,
-                durable=directory,
-                snapshot_every=snapshot_every,
-                fsync=fsync,
-            )
-        )
-
-
-def _resume_session(
-    config: SessionConfig, store: DurableStore | None = None
-) -> StreamSession:
-    """Rebuild a single-writer session from ``config.durable`` in O(delta).
-
-    The non-warning internals behind ``open_session`` (and the legacy
-    ``StreamSession.resume`` shim): loads the newest snapshot that
-    validates (checksum-failed or truncated ones fall back to older, then
-    to pure WAL replay), replays the WAL records whose sequences exceed
-    the snapshot — idempotently, so duplicated records or a second replay
-    cannot double-apply — truncates any crash tail off the log and reopens
-    it for append.  The returned session is not yet started; sequence
-    numbering continues from the last applied event.
+    The create-or-resume half of ``open_session``: loads the newest
+    snapshot that validates (checksum-failed or truncated ones fall back to
+    older, then to replay from scratch), replays any legacy segments the
+    snapshot does not cover, then the ``wal.ndjson`` records beyond it —
+    idempotently, so duplicated records or a second replay cannot
+    double-apply.  Files are only read here: the returned session is not
+    started and holds no handle; sequence numbering continues from the last
+    applied event.
     """
-    if store is None:
-        if config.durable is None:
-            raise ConfigurationError("resume requires a durable directory")
-        store = DurableStore(
-            config.durable,
-            snapshot_every=config.snapshot_every,
-            fsync=config.fsync,
-        )
+    store = DurableStore(
+        config.durable, snapshot_every=config.snapshot_every, fsync=config.fsync
+    )
     loaded = store.load_snapshot_state()
-    wal_start = 0
-    if loaded is not None:
+    if loaded is None:
+        meta: dict = {}
+        evaluator = _new_evaluator(config)
+    else:
         meta, arrays = loaded
         evaluator = IncrementalEvaluator.from_state(
             meta,
@@ -702,42 +540,31 @@ def _resume_session(
             backend=config.backend,
             shards=config.shards,
         )
-        applied = int(meta["applied_seq"])
-        applied_batches = int(meta.get("applied_batches", 0))
-        # Seek past the log prefix the snapshot covers; replay then
-        # only parses the delta (the O(delta) half of resume).
-        wal_start = int(meta.get("wal_bytes", 0))
-    else:
-        evaluator = IncrementalEvaluator(
-            n_workers=3,
-            n_tasks=1,
-            confidence=config.resolved_confidence,
-            optimize_weights=config.resolved_optimize_weights,
-            backend=config.resolved_backend,
-            shards=config.shards,
-        )
-        applied = 0
-        applied_batches = 0
+    applied = int(meta.get("applied_seq", 0))
     replayed = 0
-    for first, last, events in store.read_batches(wal_start):
-        if last <= applied:
-            continue  # already covered by the snapshot (or a duplicate)
-        if first > applied + 1:
-            raise DurableStateError(
-                f"sequence gap in {store.wal_path}: restored state ends "
-                f"at {applied} but the next surviving record starts at "
-                f"{first}"
-            )
-        if first <= applied:
-            events = events[applied - first + 1 :]
+    wal_start = 0
+    if loaded is None or SEGMENT_META_KEY in meta:
+        # The legacy segments are a frozen history prefix; wal.ndjson
+        # continues its global sequence from their total.
+        for events in store.read_legacy_segments(meta.get(SEGMENT_META_KEY)):
+            evaluator.apply_batch(events, auto_extend=True)
+            applied += len(events)
+            replayed += 1
+    else:
+        # Seek past the log prefix the snapshot covers; replay then only
+        # parses the delta (the O(delta) half of resume).
+        wal_start = int(meta.get("wal_bytes", 0))
+    for _, last, events in store.read_delta(applied, wal_start):
         evaluator.apply_batch(events, auto_extend=True)
         applied = last
         replayed += 1
-    store.open(resume=True)
     store.note_resumed(
-        total_batches=applied_batches + replayed, replayed_batches=replayed
+        total_batches=int(meta.get("applied_batches", 0)) + replayed,
+        replayed_batches=replayed,
     )
-    session = StreamSession(evaluator, config=config, _store=store)
+    session = StreamSession(evaluator, config=config)
+    session._durable = store
+    session._resumed = True
     session._queue = ResponseQueue(
         maxsize=config.maxsize, max_batch=config.max_batch, base_seq=applied
     )

@@ -3,10 +3,9 @@
 Adapters that turn external response feeds into the ``(worker, task,
 label)`` tuples a session consumes.  Sessions come from the
 :func:`repro.serve.open_session` front door (a
-:class:`~repro.serve.config.SessionConfig` decides between the
-single-writer :class:`~repro.serve.session.StreamSession` and the
-partitioned :class:`~repro.serve.multiwriter.MultiWriterSession`); every
-adapter here works with either shape, since both expose ``submit``:
+:class:`~repro.serve.config.SessionConfig` describes the
+:class:`~repro.serve.session.StreamSession`); every adapter here feeds it
+through ``submit``:
 
 * :func:`parse_event` — one newline-JSON event (``{"worker": 3, "task":
   17, "label": 1}`` or the compact ``[3, 17, 1]`` array form) into a
@@ -17,8 +16,7 @@ adapter here works with either shape, since both expose ``submit``:
 
 The sources never reorder events: records are yielded in stream order and
 submitted FIFO, so the session's ordered-application guarantee extends to
-the wire format (under a multi-writer session, per-worker order — the only
-order the determinism contract needs — survives the partition routing).
+the wire format.
 """
 
 from __future__ import annotations

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -73,3 +78,39 @@ def simulated_kary(rng) -> tuple[ResponseMatrix, list[np.ndarray]]:
     population = KaryWorkerPopulation(confusion_matrices=matrices)
     matrix = population.generate(400, rng, densities=0.9)
     return matrix, matrices
+
+
+#: Committed durable directories in the legacy multi-writer layout (see
+#: ``fixtures/legacy_layout/generate.py`` for how they were written).
+LEGACY_LAYOUT_DIR = Path(__file__).parent / "fixtures" / "legacy_layout"
+
+
+class LegacyFixture(NamedTuple):
+    directory: Path
+    stream: list[tuple[int, int, int]]
+    submitted: int
+    survived: list[tuple[int, int, int]]
+
+
+@pytest.fixture
+def legacy_layout(tmp_path):
+    """Factory copying a legacy-layout fixture directory into ``tmp_path``.
+
+    ``legacy_layout("snapshotted")`` returns the copy's path, the full event
+    stream it was cut from, how many of those events were submitted before
+    the directory was frozen, and the submitted events that survived (in
+    stream order) — the ones a resume must restore.
+    """
+    manifest = json.loads((LEGACY_LAYOUT_DIR / "manifest.json").read_text())
+    stream = [tuple(event) for event in manifest["stream"]]
+
+    def copy(name: str, destination: Path | None = None) -> LegacyFixture:
+        entry = manifest["fixtures"][name]
+        directory = Path(
+            shutil.copytree(LEGACY_LAYOUT_DIR / name, destination or tmp_path / name)
+        )
+        lost = set(entry["lost"])
+        survived = [stream[i] for i in range(entry["submitted"]) if i not in lost]
+        return LegacyFixture(directory, stream, entry["submitted"], survived)
+
+    return copy

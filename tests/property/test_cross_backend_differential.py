@@ -351,7 +351,7 @@ def test_streamed_microbatch_interleavings_bit_identical(seed):
     from-scratch batch build over the accumulated matrix, bit for bit."""
     import asyncio
 
-    from repro.serve import StreamSession
+    from repro.serve import SessionConfig, open_session
 
     rng = np.random.default_rng(9000 + seed)
     m = int(rng.integers(6, 10))
@@ -376,7 +376,8 @@ def test_streamed_microbatch_interleavings_bit_identical(seed):
     max_batch = int(rng.integers(1, 24))
 
     async def stream(backend):
-        async with StreamSession(backend=backend, max_batch=max_batch) as session:
+        config = SessionConfig(backend=backend, max_batch=max_batch)
+        async with open_session(config) as session:
             for index, record in enumerate(records):
                 await session.submit(*record)
                 if index in read_points:
@@ -428,7 +429,7 @@ def test_streamed_sharded_sessions_bit_identical(seed):
     legacy per-read observer, batch by batch."""
     import asyncio
 
-    from repro.serve import StreamSession
+    from repro.serve import SessionConfig, open_session
 
     rng = np.random.default_rng(17000 + seed)
     m = int(rng.integers(6, 10))
@@ -454,9 +455,8 @@ def test_streamed_sharded_sessions_bit_identical(seed):
     shards = "process:2" if seed % 8 == 3 else "thread:2"
 
     async def stream(backend):
-        async with StreamSession(
-            backend=backend, max_batch=max_batch, shards=shards
-        ) as session:
+        config = SessionConfig(backend=backend, max_batch=max_batch, shards=shards)
+        async with open_session(config) as session:
             for index, record in enumerate(records):
                 await session.submit(*record)
                 if index in read_points:
@@ -541,7 +541,7 @@ def test_resumed_sessions_bit_identical(seed, tmp_path):
     snapshot cadences including pure WAL replay."""
     import asyncio
 
-    from repro.serve import StreamSession
+    from repro.serve import SessionConfig, open_session
 
     rng = np.random.default_rng(13000 + seed)
     m = int(rng.integers(6, 10))
@@ -566,13 +566,14 @@ def test_resumed_sessions_bit_identical(seed, tmp_path):
     corruption = seed % 3  # 0: clean kill, 1: torn WAL tail, 2: torn snapshot
 
     async def crash_then_resume(backend, directory):
-        session = StreamSession(
+        config = SessionConfig(
             backend=backend,
             max_batch=max_batch,
             durable=directory,
             snapshot_every=snapshot_every,
             fsync=False,
         )
+        session = open_session(config)
         session.start()
         for record in records[:cut]:
             await session.submit(*record)
@@ -591,13 +592,7 @@ def test_resumed_sessions_bit_identical(seed, tmp_path):
                 data = bytearray(snapshots[0].read_bytes())
                 data[int(rng.integers(0, len(data)))] ^= 0xFF
                 snapshots[0].write_bytes(bytes(data))
-        resumed = StreamSession.resume(
-            directory,
-            backend=backend,
-            max_batch=max_batch,
-            snapshot_every=snapshot_every,
-            fsync=False,
-        )
+        resumed = open_session(config)
         # Sequence numbers are positional, so applied_events says exactly
         # which prefix of the stream survived; feed the rest.
         assert resumed.applied_events <= len(records)
@@ -635,133 +630,189 @@ def test_resumed_sessions_bit_identical(seed, tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Multi-writer resumed column: partitioned kill/resume fuzz
+# Legacy-layout column: resume of committed multi-writer segment directories
 # --------------------------------------------------------------------------- #
 
-#: Backends of the ``multiwriter-resumed`` column — the multi-writer
-#: determinism contract of :mod:`repro.serve.multiwriter`: a partitioned
-#: durable session killed at an arbitrary point (including mid-flight, with
-#: unflushed queues), its segments independently tail-corrupted, resumed
-#: via the k-way segment merge and fed the rest of the stream must serve
-#: estimates bit-identical to the serial dict batch build.
-MULTIWRITER_RESUMED_BACKENDS = ["dict", "dense", "sparse", "bitset"]
+#: Backends of the ``legacy-layout`` column — directories written by the
+#: multi-writer sessions of older releases (per-partition WAL segments,
+#: committed under ``tests/fixtures/legacy_layout``) must resume, keep
+#: ingesting into the single WAL and resume again bit-identical to the dict
+#: batch build, on every backend.
+LEGACY_LAYOUT_BACKENDS = ["dict", "dense", "sparse", "bitset"]
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_multiwriter_resumed_sessions_bit_identical(seed, tmp_path):
-    """25-seed kill/resume fuzz of the multi-writer ingest path: random
-    writer counts (1-4, through the ``open_session`` front door so the
-    single-writer dispatch is fuzzed too), random kill points — half the
-    seeds abort with queues still unflushed — per-segment WAL tail
-    corruption or a torn newest snapshot, resume via the segment merge,
-    then drain the remainder of the stream.  The final estimates, spammer
-    scores and accumulated matrix must equal the serial uninterrupted
-    reference bit for bit on all four backends, across snapshot cadences
-    including pure segment replay."""
+@pytest.mark.parametrize("snapshot_every", [None, 3])
+@pytest.mark.parametrize("fixture_name", ["snapshotted", "wal_only"])
+def test_legacy_layout_resumed_sessions_bit_identical(
+    fixture_name, snapshot_every, legacy_layout, tmp_path
+):
+    """Each committed legacy directory — one with snapshots and a torn
+    segment tail, one pure segments — is resumed on every backend (the
+    k-way segment merge, or the legacy snapshot plus the segment delta),
+    fed the rest of its stream into ``wal.ndjson``, aborted without a final
+    snapshot and resumed again (now over segments + WAL, or a single-WAL
+    snapshot that skips the segments).  Both results must equal the dict
+    batch build over the surviving events plus the rest, bit for bit."""
     import asyncio
 
     from repro.serve import SessionConfig, open_session
 
-    rng = np.random.default_rng(14000 + seed)
-    m = int(rng.integers(6, 10))
-    n = int(rng.integers(25, 45))
-    matrix = random_matrix(seed, m, n, regular=bool(seed % 3 == 0))
-    records = list(matrix.iter_responses())
-    rng.shuffle(records)
-    revisions = [
-        (worker, task, 1 - label)
-        for worker, task, label in rng.permutation(records)[:4].tolist()
-    ]
-    insert_at = sorted(
-        int(position) for position in rng.integers(0, len(records), size=4)
-    )
-    for position, revision in zip(insert_at, reversed(revisions)):
-        records.insert(position, tuple(revision))
-    max_batch = int(rng.integers(1, 24))
-    cut = int(rng.integers(1, len(records)))
-    writers = 1 + seed % 4
-    snapshot_every = [None, 1, 2, 3, 5][seed % 5]
-    corruption = seed % 3  # 0: clean kill, 1: torn segment tail, 2: torn snapshot
-    flushed = seed % 2 == 0  # else: killed with queues still unflushed
-
-    async def crash_then_resume(backend, directory):
+    def run_backend(backend):
+        fixture = legacy_layout(fixture_name, tmp_path / backend)
         config = SessionConfig(
             backend=backend,
-            max_batch=max_batch,
-            writers=writers,
-            durable=directory,
+            durable=fixture.directory,
             snapshot_every=snapshot_every,
+            max_batch=7,
             fsync=False,
         )
-        session = open_session(config)
-        session.start()
-        for record in records[:cut]:
-            await session.submit(*record)
-        if flushed:
+        rest = fixture.stream[fixture.submitted :]
+
+        async def resume_ingest_abort_resume():
+            session = open_session(config)
+            assert session.applied_events == len(fixture.survived)
+            session.start()
+            for event in rest:
+                await session.submit(*event)
             await session.flush()
-        await session.abort()  # no final snapshot, appliers cancelled
+            first = await session.evaluate_all()
+            await session.abort()
+            resumed = open_session(config)
+            assert resumed.applied_events == len(fixture.survived) + len(rest)
+            async with resumed:
+                return (
+                    first,
+                    await resumed.evaluate_all(),
+                    await resumed.spammer_scores(),
+                    resumed.evaluator.matrix.copy(),
+                )
+
+        return fixture.survived + rest, asyncio.run(resume_ingest_abort_resume())
+
+    results = {backend: run_backend(backend) for backend in LEGACY_LAYOUT_BACKENDS}
+    settled = IncrementalEvaluator(3, 1, backend="dict")
+    settled.apply_batch(results["dict"][0], auto_extend=True)
+    reference = {
+        estimate.worker: estimate
+        for estimate in MWorkerEstimator(
+            confidence=0.95, backend="dict"
+        ).evaluate_all(settled.matrix)
+        if estimate.n_tasks > 0
+    }
+    reference_scores = results["dict"][1][2]
+    for backend, (_, (first, resumed, scores, matrix_copy)) in results.items():
+        assert matrix_copy == settled.matrix, backend
+        for served in (first, resumed):
+            assert set(served) == set(reference), backend
+            for worker, ref in reference.items():
+                assert_estimates_bit_identical(
+                    ref, served[worker], f"legacy-layout-{backend}"
+                )
+        assert scores == reference_scores, backend
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_legacy_layout_kill_resume_fuzz_bit_identical(seed, legacy_layout, tmp_path):
+    """25-seed kill/resume fuzz over the committed legacy directories: the
+    rest of the fixture's stream (with extra label revisions) is fed in
+    three sessions, the first two aborted at random cut points — half the
+    seeds with batches still unflushed — and their on-disk state mangled
+    the way a crash would (``wal.ndjson`` tail torn mid-append, or the
+    newest snapshot corrupted, falling back to an older single-WAL one,
+    the legacy one or pure segment + WAL replay).  Random micro-batch
+    sizes and snapshot cadences.  The final estimates, spammer scores and
+    accumulated matrix must equal the dict batch build bit for bit on all
+    four backends."""
+    import asyncio
+
+    from repro.serve import SessionConfig, open_session
+
+    rng = np.random.default_rng(15000 + seed)
+    fixture_name = ["snapshotted", "wal_only"][seed % 2]
+    template = legacy_layout(fixture_name, tmp_path / "template")
+    rest = list(template.stream[template.submitted :])
+    # Revisions of cells already in the segments and of cells still to
+    # come: the last write must win across the layout change and the kills.
+    for _ in range(3):
+        worker, task, label = template.stream[int(rng.integers(0, len(template.stream)))]
+        rest.insert(int(rng.integers(0, len(rest) + 1)), (worker, task, 1 - label))
+    base = len(template.survived)
+    max_batch = int(rng.integers(1, 24))
+    snapshot_every = [None, 1, 2, 3, 5][seed % 5]
+    cuts = sorted(int(cut) for cut in rng.integers(1, len(rest), size=2))
+    corruptions = [int(c) for c in rng.integers(0, 3, size=2)]  # clean/WAL/snapshot
+    flushed = seed % 4 < 2  # else: killed with batches still queued
+
+    def mangle(directory, corruption):
         if corruption == 1:
-            # Mid-append kill: the fattest segment loses its tail bytes
-            # (the glob covers both the wal-<p>.ndjson segments and the
-            # single-writer wal.ndjson).  Leave the header plus a margin
-            # intact — a chopped *header* is a malformed log, not crash
-            # residue, and resume is right to refuse it.
-            wal = max(directory.glob("wal*.ndjson"), key=lambda p: p.stat().st_size)
-            size = wal.stat().st_size
-            if size > 90:
-                chop = int(rng.integers(1, min(31, size - 80)))
-                wal.write_bytes(wal.read_bytes()[: size - chop])
+            # Mid-append kill: the WAL loses tail bytes, never its header
+            # (a chopped header is a malformed log, not crash residue).
+            wal = directory / "wal.ndjson"
+            data = wal.read_bytes() if wal.exists() else b""
+            header_bytes = data.find(b"\n") + 1
+            if len(data) - header_bytes > 31:
+                wal.write_bytes(data[: len(data) - int(rng.integers(1, 31))])
         elif corruption == 2:
-            # Torn newest snapshot: resume must fall back to an older one
-            # or pure segment replay.
             snapshots = sorted(directory.glob("snapshot-*.snap"), reverse=True)
             if snapshots:
                 data = bytearray(snapshots[0].read_bytes())
                 data[int(rng.integers(0, len(data)))] ^= 0xFF
                 snapshots[0].write_bytes(bytes(data))
-        resumed = open_session(config)
-        assert resumed.applied_events <= len(records)
-        async with resumed:
-            if flushed and corruption == 0:
-                # Every submitted event reached the segments and survived:
-                # the resume must account for exactly the prefix, and the
-                # exact remainder completes the stream.
-                assert resumed.applied_events == cut
-                remainder = records[cut:]
-            else:
-                # Unflushed batches (or chopped tails) vanished, and which
-                # partition lost how much is timing-dependent — so re-feed
-                # the whole stream: per-worker last-write-wins application
-                # makes the overlap idempotent.
-                remainder = records
-            for record in remainder:
-                await resumed.submit(*record)
-            await resumed.flush()
-            estimates = await resumed.evaluate_all()
-            scores = await resumed.spammer_scores()
-            return estimates, scores, resumed.evaluator.matrix.copy()
 
-    results = {
-        backend: asyncio.run(
-            crash_then_resume(backend, tmp_path / backend)
+    async def kill_resume_twice(config):
+        for cut, corruption in zip(cuts, corruptions):
+            session = open_session(config)
+            # Sequence numbers are positional and the WAL is appended in
+            # order, so applied_events names exactly the surviving prefix.
+            done = session.applied_events - base
+            assert 0 <= done <= len(rest)
+            session.start()
+            for event in rest[done:cut]:
+                await session.submit(*event)
+            if flushed:
+                await session.flush()
+            await session.abort()  # no final snapshot, applier cancelled
+            mangle(config.durable, corruption)
+        resumed = open_session(config)
+        done = resumed.applied_events - base
+        assert 0 <= done <= len(rest)
+        async with resumed:
+            for event in rest[done:]:
+                await resumed.submit(*event)
+            await resumed.flush()
+            return (
+                await resumed.evaluate_all(),
+                await resumed.spammer_scores(),
+                resumed.evaluator.matrix.copy(),
+            )
+
+    results = {}
+    for backend in LEGACY_LAYOUT_BACKENDS:
+        fixture = legacy_layout(fixture_name, tmp_path / backend)
+        config = SessionConfig(
+            backend=backend,
+            durable=fixture.directory,
+            max_batch=max_batch,
+            snapshot_every=snapshot_every,
+            fsync=False,
         )
-        for backend in MULTIWRITER_RESUMED_BACKENDS
-    }
-    accumulated = results["dict"][2]
+        results[backend] = asyncio.run(kill_resume_twice(config))
+    settled = IncrementalEvaluator(3, 1, backend="dict")
+    settled.apply_batch(template.survived + rest, auto_extend=True)
     reference = {
         estimate.worker: estimate
         for estimate in MWorkerEstimator(
             confidence=0.95, backend="dict"
-        ).evaluate_all(accumulated)
+        ).evaluate_all(settled.matrix)
         if estimate.n_tasks > 0
     }
     reference_scores = results["dict"][1]
     for backend, (resumed, scores, matrix_copy) in results.items():
-        assert matrix_copy == accumulated, backend
+        assert matrix_copy == settled.matrix, backend
         assert set(resumed) == set(reference), backend
         for worker, ref in reference.items():
             assert_estimates_bit_identical(
-                ref, resumed[worker], f"multiwriter-resumed-{backend}"
+                ref, resumed[worker], f"legacy-layout-fuzz-{backend}"
             )
         assert scores == reference_scores, backend
 

@@ -176,19 +176,16 @@ class TestShardExecutor:
 
 
 class TestShardedModuleRemoved:
-    def test_import_fails_with_a_pointer_to_parallel(self):
-        # repro.core.sharded finished its deprecation cycle: importing it
-        # must fail loudly with migration guidance, and a failed module
-        # execution must not stick around in sys.modules — a second import
-        # attempt raises the same error rather than yielding a broken
-        # half-module.
+    def test_module_is_gone(self):
+        # repro.core.sharded finished its deprecation cycle and its
+        # import-error stub is deleted too: the sharded tiers live in
+        # repro.core.parallel only.
         import importlib
         import sys
 
-        for _ in range(2):
-            with pytest.raises(ImportError, match="repro.core.parallel"):
-                importlib.import_module("repro.core.sharded")
-            assert "repro.core.sharded" not in sys.modules
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.sharded")
+        assert "repro.core.sharded" not in sys.modules
 
 
 class TestExportCleanup:

@@ -22,7 +22,8 @@ from repro.exceptions import ConfigurationError, DataValidationError
 from repro.serve import (
     QueueClosed,
     ResponseQueue,
-    StreamSession,
+    SessionConfig,
+    open_session,
     parse_event,
 )
 from repro.serve.server import serve_ndjson
@@ -138,7 +139,7 @@ class TestResponseQueue:
 class TestStreamSession:
     def test_submit_requires_running_session(self):
         async def scenario():
-            session = StreamSession()
+            session = open_session()
             with pytest.raises(ConfigurationError):
                 await session.submit(0, 0, 1)
 
@@ -149,7 +150,7 @@ class TestStreamSession:
         flush must make everything submitted visible."""
 
         async def scenario():
-            async with StreamSession(max_batch=4) as session:
+            async with open_session(SessionConfig(max_batch=4)) as session:
                 await session.submit(0, 0, 1)
                 await session.submit(1, 0, 0)
                 await session.submit(0, 0, 0)  # revision, must win
@@ -175,7 +176,7 @@ class TestStreamSession:
         events = make_stream(600, 10, 50, seed=31)
 
         async def scenario():
-            async with StreamSession(backend=backend, max_batch=19) as session:
+            async with open_session(SessionConfig(backend=backend, max_batch=19)) as session:
                 for index, event in enumerate(events):
                     await session.submit(*event)
                     if index in (151, 449):
@@ -195,7 +196,7 @@ class TestStreamSession:
 
         async def scenario():
             snapshots = []
-            async with StreamSession(max_batch=13, maxsize=32) as session:
+            async with open_session(SessionConfig(max_batch=13, maxsize=32)) as session:
 
                 async def producer():
                     for event in events:
@@ -232,7 +233,7 @@ class TestStreamSession:
 
     def test_auto_extends_for_unseen_ids_without_rebuilds(self):
         async def scenario():
-            async with StreamSession(backend="dense", max_batch=8) as session:
+            async with open_session(SessionConfig(backend="dense", max_batch=8)) as session:
                 await session.submit(0, 0, 1)
                 await session.submit(14, 90, 0)  # far beyond (3, 1)
                 await session.submit(7, 30, 1)
@@ -247,7 +248,7 @@ class TestStreamSession:
 
     def test_ingestion_error_surfaces_on_flush_submit_and_close(self):
         async def scenario():
-            session = StreamSession(auto_extend=False)
+            session = open_session(SessionConfig(auto_extend=False))
             session.start()
             await session.submit(-3, 0, 1)  # invalid id: fails in apply
             with pytest.raises(DataValidationError):
@@ -264,7 +265,7 @@ class TestStreamSession:
         truth = rng.integers(0, 2, size=60)
 
         async def scenario():
-            async with StreamSession() as session:
+            async with open_session() as session:
                 for worker in range(5):
                     for task in range(60):
                         if worker == 4:  # coin-flip spammer
@@ -284,7 +285,7 @@ class TestStreamSession:
         events = make_stream(400, 6, 30, seed=9)
 
         async def scenario():
-            async with StreamSession(backend="dense", max_batch=50) as session:
+            async with open_session(SessionConfig(backend="dense", max_batch=50)) as session:
                 await session.submit_many(events[:200])
                 await session.flush()
                 await session.evaluate_all()  # build caches
@@ -335,7 +336,7 @@ class TestConcurrencyRegressions:
         of deadlocking (and close() can always land its marker)."""
 
         async def scenario():
-            session = StreamSession(auto_extend=False, maxsize=2, max_batch=1)
+            session = open_session(SessionConfig(auto_extend=False, maxsize=2, max_batch=1))
             session.start()
             await session.submit(-5, 0, 1)  # will fail in apply
 
@@ -358,7 +359,7 @@ class TestConcurrencyRegressions:
         reads that need a recompute must still wait for it."""
 
         async def scenario():
-            async with StreamSession(backend="dense") as session:
+            async with open_session(SessionConfig(backend="dense")) as session:
                 records = [
                     (w, t, (w + t) % 2) for w in range(5) for t in range(12)
                 ]
@@ -397,7 +398,7 @@ class TestConcurrencyRegressions:
         per_producer = 120
 
         async def scenario():
-            async with StreamSession(maxsize=4, max_batch=8) as session:
+            async with open_session(SessionConfig(maxsize=4, max_batch=8)) as session:
 
                 async def producer(worker):
                     for index in range(per_producer):
@@ -422,7 +423,7 @@ class TestConcurrencyRegressions:
 
         async def scenario():
             ready = asyncio.get_running_loop().create_future()
-            async with StreamSession() as session:
+            async with open_session() as session:
                 server = asyncio.get_running_loop().create_task(
                     serve_ndjson(
                         session,
@@ -475,7 +476,7 @@ class TestNdjsonServer:
 
         async def scenario():
             ready = asyncio.get_running_loop().create_future()
-            async with StreamSession(confidence=0.9, max_batch=32) as session:
+            async with open_session(SessionConfig(confidence=0.9, max_batch=32)) as session:
                 server = asyncio.get_running_loop().create_task(
                     serve_ndjson(
                         session,
@@ -642,7 +643,7 @@ class TestServerShutdownSemantics:
 
         async def scenario():
             ready = asyncio.get_running_loop().create_future()
-            async with StreamSession() as session:
+            async with open_session() as session:
                 server = asyncio.get_running_loop().create_task(
                     serve_ndjson(
                         session,
@@ -679,7 +680,7 @@ class TestServerShutdownSemantics:
 
         async def scenario():
             ready = asyncio.get_running_loop().create_future()
-            async with StreamSession() as session:
+            async with open_session() as session:
                 server = asyncio.get_running_loop().create_task(
                     serve_ndjson(
                         session,
@@ -712,7 +713,7 @@ class TestServerShutdownSemantics:
 
         async def scenario():
             ready = asyncio.get_running_loop().create_future()
-            async with StreamSession() as session:
+            async with open_session() as session:
                 server = asyncio.get_running_loop().create_task(
                     serve_ndjson(
                         session,

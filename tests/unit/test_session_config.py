@@ -1,25 +1,22 @@
-"""Unit tests for :class:`repro.serve.SessionConfig` and the legacy shims.
+"""Unit tests for :class:`repro.serve.SessionConfig` and ``open_session``.
 
-The API-consolidation contract: every streaming knob lives on one frozen,
-validated dataclass whose field names round-trip the legacy keyword
-arguments exactly; the old construction paths (``StreamSession(**kwargs)``,
-``StreamSession.resume``, ``StreamSession.open_durable``) survive as thin
-shims that emit a :class:`DeprecationWarning`; and the CLI flags map 1:1
-onto a config through the single ``config_from_args`` helper.
+The API contract: every streaming knob lives on one frozen, validated
+dataclass; ``open_session`` is the one create-or-resume front door; and the
+CLI flags map 1:1 onto a config through the single ``config_from_args``
+helper.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import os
 
 import pytest
 
 from repro.cli import build_parser, config_from_args
 from repro.exceptions import ConfigurationError
 from repro.serve import SessionConfig, StreamSession, open_session
-from repro.serve.config import AUTO_WRITERS_CAP, DEFAULT_CONFIDENCE
+from repro.serve.config import DEFAULT_CONFIDENCE
 
 
 def run(coro):
@@ -36,17 +33,17 @@ class TestValidation:
             {"backend": "bogus"},
             {"shards": 0},
             {"shards": "bogus"},
-            {"writers": 0},
-            {"writers": -2},
-            {"writers": True},
-            {"writers": 2.5},
-            {"writers": "many"},
             {"maxsize": 0},
             {"max_batch": 0},
             {"snapshot_every": 0, "durable": "somewhere"},
             # snapshot cadence without persistence is a configuration hole,
             # not a silent no-op
             {"snapshot_every": 4},
+            {"confidence": 1.5},
+            {"shards": True},
+            {"shards": "thread:0"},
+            {"maxsize": -1},
+            {"snapshot_every": -1, "durable": "somewhere"},
         ],
     )
     def test_invalid_fields_raise_configuration_error(self, fields):
@@ -69,11 +66,6 @@ class TestValidation:
         assert config.resolved_confidence == DEFAULT_CONFIDENCE
         assert config.resolved_backend == "auto"
         assert config.resolved_optimize_weights is True
-        assert config.resolved_writers() == 1
-
-    def test_resolved_writers_auto_is_cpu_bound_and_capped(self):
-        resolved = SessionConfig(writers="auto").resolved_writers()
-        assert resolved == max(1, min(AUTO_WRITERS_CAP, os.cpu_count() or 1))
 
     def test_round_trips_every_legacy_kwarg(self, tmp_path):
         legacy = {
@@ -92,13 +84,7 @@ class TestValidation:
             assert getattr(config, name) == value
 
 
-class TestLegacyShims:
-    def test_constructor_kwargs_warn_and_still_work(self):
-        with pytest.warns(DeprecationWarning, match="open_session"):
-            session = StreamSession(max_batch=4, confidence=0.8)
-        assert session.config.max_batch == 4
-        assert session.config.confidence == 0.8
-
+class TestOpenSession:
     def test_config_construction_does_not_warn(self, recwarn):
         session = StreamSession(config=SessionConfig(max_batch=4))
         assert session.config.max_batch == 4
@@ -106,45 +92,64 @@ class TestLegacyShims:
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            StreamSession(config=SessionConfig(), max_batch=4)
-
     def test_unknown_kwargs_raise_type_error(self):
         with pytest.raises(TypeError, match="batchsize"):
             StreamSession(batchsize=4)
 
-    def test_stream_session_refuses_multiwriter_configs(self):
-        with pytest.raises(ConfigurationError, match="open_session"):
-            StreamSession(config=SessionConfig(writers=3))
+    def test_config_fields_are_the_single_writer_knobs(self):
+        assert [field.name for field in dataclasses.fields(SessionConfig)] == [
+            "confidence",
+            "backend",
+            "optimize_weights",
+            "shards",
+            "maxsize",
+            "max_batch",
+            "auto_extend",
+            "durable",
+            "snapshot_every",
+            "fsync",
+        ]
+        with pytest.raises(TypeError):
+            SessionConfig(writers=2)
 
-    def _populate(self, directory):
+    def test_session_has_no_alternate_constructors(self):
+        for name in ("resume", "open_durable"):
+            assert not hasattr(StreamSession, name)
+
+    def test_session_knobs_are_config_fields_only(self):
+        with pytest.raises(TypeError):
+            StreamSession(max_batch=4)
+        with pytest.raises(ConfigurationError, match="SessionConfig"):
+            StreamSession(config={"max_batch": 4})
+
+    def test_in_memory_builds_a_stream_session(self):
+        session = open_session()
+        assert isinstance(session, StreamSession)
+        assert session.config == SessionConfig()
+
+    def test_field_overrides_rebuild_the_config(self):
+        session = open_session(SessionConfig(max_batch=4), maxsize=9)
+        assert session.config == SessionConfig(max_batch=4, maxsize=9)
+
+    def test_rejects_a_non_config_positional(self):
+        with pytest.raises(ConfigurationError, match="SessionConfig"):
+            open_session({"max_batch": 2})
+
+    def test_creates_then_resumes_a_durable_directory(self, tmp_path):
+        config = SessionConfig(durable=tmp_path, fsync=False)
+        fresh = open_session(config)
+        assert fresh.applied_events == 0
+
         async def scenario():
-            async with open_session(
-                SessionConfig(durable=directory, fsync=False)
-            ) as session:
+            async with fresh as session:
                 for worker in range(6):
                     await session.submit(worker, worker % 3, 1)
                 await session.flush()
 
-        run(scenario())
-
-    def test_resume_shim_warns_and_resumes(self, tmp_path):
-        self._populate(tmp_path)
-        with pytest.warns(DeprecationWarning, match="resume"):
-            session = StreamSession.resume(tmp_path, fsync=False)
-        assert session.applied_events == 6
-
-    def test_open_durable_shim_warns_for_fresh_and_existing_state(
-        self, tmp_path
-    ):
-        with pytest.warns(DeprecationWarning, match="open_durable"):
-            fresh = StreamSession.open_durable(tmp_path / "fresh", fsync=False)
-        assert fresh.applied_events == 0
-        self._populate(tmp_path / "old")
-        with pytest.warns(DeprecationWarning, match="open_durable"):
-            resumed = StreamSession.open_durable(tmp_path / "old", fsync=False)
+        asyncio.run(scenario())
+        resumed = open_session(config)
         assert resumed.applied_events == 6
+        assert resumed.evaluator.matrix == fresh.evaluator.matrix
 
 
 class TestConfigFromArgs:
@@ -158,7 +163,6 @@ class TestConfigFromArgs:
                 "--batch-size", "7",
                 "--queue-size", "33",
                 "--shards", "thread:2",
-                "--writers", "3",
                 "--durable", "state-dir",
                 "--snapshot-every", "4",
             ]
@@ -170,27 +174,18 @@ class TestConfigFromArgs:
             max_batch=7,
             maxsize=33,
             shards="thread:2",
-            writers=3,
             durable="state-dir",
             snapshot_every=4,
         )
 
-    def test_writers_auto_passes_through(self):
-        args = build_parser().parse_args(
-            ["ingest", "events.ndjson", "--writers", "auto"]
-        )
-        assert config_from_args(args).writers == "auto"
-
     def test_serve_shares_the_same_translation(self):
-        args = build_parser().parse_args(["serve", "--writers", "2"])
+        args = build_parser().parse_args(["serve", "--durable", "state-dir"])
         config = config_from_args(args)
-        assert config.writers == 2
-        assert config.durable is None
+        assert config == SessionConfig(
+            confidence=0.9, backend="auto", durable="state-dir"
+        )
 
-    @pytest.mark.parametrize("value", ["0", "-1", "lots"])
-    def test_invalid_writers_rejected_at_parse_time(self, value, capsys):
+    def test_writers_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["ingest", "events.ndjson", "--writers", value]
-            )
+            build_parser().parse_args(["ingest", "events.ndjson", "--writers", "3"])
         assert "--writers" in capsys.readouterr().err
