@@ -12,14 +12,13 @@ reports the speedups:
 * ``batched_lemma4`` — the batched triple stage plus the grouped Lemma-4/5
   aggregation (triple-count tensor, stacked covariance grids, one batched
   solve per group);
-* ``sharded``        — the fully batched path partitioned across the
-  reusable process pool over shared-memory statistics arrays (``--shards``;
-  wall-clock wins need actual cores, so this mainly tracks the
-  orchestration overhead on CI — the repeated passes time the steady state
-  with the pool already spawned).
+* ``sharded``        — the fully batched path partitioned across
+  ``--shards`` threads of the reusable executor over one shared statistics
+  object (wall-clock wins need actual cores, so this mainly tracks the
+  orchestration overhead on CI).
 
 ``--shard-sweep`` additionally times the execution *tiers* (serial /
-``thread:2`` / ``process:2`` / ``"auto"``) head to head on the headline
+two threads / ``"auto"``) head to head on the headline
 matrix, records what the cost model resolved ``"auto"`` to on this host,
 verifies bit-identity across tiers, and appends its own trajectory entry;
 ``--min-shard-speedup`` turns the serial -> ``"auto"`` ratio into a gate
@@ -132,9 +131,6 @@ def run(
     for name, config in _paths(shards, skip_dict).items():
         # Best-of-N timing (single pass for the very slow dict reference):
         # the minimum is the standard low-noise estimator on shared hosts.
-        # The sharded path gets the full repeats now that the executor
-        # caches its pool — later passes time the steady state, which is
-        # exactly what the reusable-executor refactor is meant to improve.
         repetitions = 1 if name == "dict" else repeats
         best = float("inf")
         for _ in range(repetitions):
@@ -271,8 +267,8 @@ def run_shard_sweep(
 ) -> dict:
     """Time the execution tiers head to head on the headline matrix.
 
-    Runs the fully batched dense path serially and under every explicit
-    tier spec plus ``"auto"``, checks bit-identity, and records what the
+    Runs the fully batched dense path serially, on two threads and under
+    ``"auto"``, checks bit-identity, and records what the
     cost model resolved ``"auto"`` to on this host.  On single-core CI
     hosts ``"auto"`` resolves serial (documented in the cost model), so the
     ``--min-shard-speedup`` gate only binds where parallel hardware exists.
@@ -292,12 +288,7 @@ def run_shard_sweep(
     )
 
     batched = {"backend": "dense", "batch_triples": True, "batch_lemma4": True}
-    tiers: dict[str, int | str] = {
-        "serial": 1,
-        "thread:2": "thread:2",
-        "process:2": "process:2",
-        "auto": "auto",
-    }
+    tiers: dict[str, int | str] = {"serial": 1, "thread:2": 2, "auto": "auto"}
     seconds: dict[str, float] = {}
     estimates: dict[str, list] = {}
     for name, spec in tiers.items():
@@ -458,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         "--shards",
         type=int,
         default=2,
-        help="shard count for the sharded path (<=1 skips it)",
+        help="thread count for the sharded path (<=1 skips it)",
     )
     parser.add_argument(
         "--skip-dict",
@@ -497,9 +488,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--shard-sweep",
         action="store_true",
-        help="also time the execution tiers (serial / thread:2 / process:2 "
-        "/ auto) on the headline matrix and append a shard-sweep "
-        "trajectory entry",
+        help="also time the execution tiers (serial / 2 threads / auto) on "
+        "the headline matrix and append a shard-sweep trajectory entry",
     )
     parser.add_argument("--output", default="BENCH_agreement.json")
     parser.add_argument(

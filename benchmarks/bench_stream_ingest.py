@@ -29,7 +29,7 @@ committed ``BENCH_agreement.json`` trend file.
 ``--with-shards`` adds the sharded-recompute scenario: the same stream is
 ingested twice with periodic mid-stream ``evaluate_all`` calls — once with
 serial recomputes (``shards=1``) and once under ``--shard-spec`` (default
-``thread:2``, the footprint-ledger path) — and the *ingest-then-evaluate*
+``2`` threads, the footprint-ledger path) — and the *ingest-then-evaluate*
 wall clock is compared.  Both runs must be bit-identical to the batch
 build, and the sharded run must stay within ``--max-shard-overhead`` of
 the serial wall clock (sharding may not win on a small CI fixture, but it
@@ -320,7 +320,7 @@ def run_with_shards(
     seed: int,
     batch_size: int,
     backend: str = "dense",
-    shard_spec: str = "thread:2",
+    shard_spec: int | str = 2,
     eval_points: int = 8,
 ) -> dict:
     """Time ingest-then-evaluate wall clock: serial vs sharded recomputes.
@@ -338,7 +338,7 @@ def run_with_shards(
     print(
         f"with-shards: {len(stream)} events over {n_workers} workers x "
         f"{n_tasks} tasks ({backend} backend, micro-batch {batch_size}, "
-        f"evaluate_all every {every} events, serial vs {shard_spec})"
+        f"evaluate_all every {every} events, serial vs shards={shard_spec})"
     )
 
     def timed(spec):
@@ -378,7 +378,7 @@ def run_with_shards(
     )
     print(
         f"  serial ingest+evaluate: {serial_seconds:7.3f}s   "
-        f"{shard_spec}: {sharded_seconds:7.3f}s   "
+        f"shards={shard_spec}: {sharded_seconds:7.3f}s   "
         f"overhead: {overhead:.2f}x   bit-identical: {identical}"
     )
     return {
@@ -463,8 +463,10 @@ def main(argv: list[str] | None = None) -> int:
         "wall clock, serial vs --shard-spec (see --max-shard-overhead)",
     )
     parser.add_argument(
-        "--shard-spec", default="thread:2",
-        help="shard spec for the --with-shards scenario (default thread:2)",
+        "--shard-spec", default=2,
+        type=lambda value: value if value == "auto" else int(value),
+        help="shard spec for the --with-shards scenario: a thread count or "
+        "'auto' (default 2)",
     )
     parser.add_argument(
         "--max-shard-overhead", type=float, default=2.0,

@@ -47,7 +47,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _shard_spec(value: str) -> int | str:
-    """argparse type for ``--shards``: int, 'auto', 'thread:N', 'process:N'.
+    """argparse type for ``--shards``: a positive integer or 'auto'.
 
     Malformed specs (0, negatives, garbage) abort parsing with a clear
     usage error instead of silently evaluating serial.
@@ -158,11 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_shard_spec,
         default=1,
         metavar="SPEC",
-        help="execution spec for batch evaluation: an integer shard count "
-        "(default 1 = in-process; N>1 shards across N processes over "
-        "shared-memory statistics), 'auto' (cost-based serial/thread/"
-        "process choice), 'thread:N' or 'process:N'; results are identical "
-        "on every tier, and tiny matrices or the dict backend fall back to "
+        help="execution spec for batch evaluation: an integer N (default "
+        "1 = serial; N>1 splits the worker loop across N threads) or "
+        "'auto' (cost-based serial/thread choice); results are identical "
+        "either way, and tiny matrices or the dict backend fall back to "
         "serial",
     )
     evaluate.add_argument(
@@ -236,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="execution spec forwarded to the session's estimator (same "
         "grammar as evaluate --shards; incremental recomputes honour it on "
-        "the vectorized backends — dependency footprints ship back per "
-        "shard, so evaluation under a live stream scales)",
+        "the vectorized backends — dependency footprints come back with "
+        "each thread chunk, so evaluation under a live stream scales)",
     )
     _add_stream_arguments(ingest)
 

@@ -40,20 +40,18 @@ Backend capability matrix
 -------------------------
 
 Every vectorized backend serves the bulk reads behind ``batch_triples`` and
-``batch_lemma4``, and every vectorized backend implements the shared-state
-export protocol behind process sharding
-(:meth:`~repro.data.dense_backend.AgreementBackendBase.export_shared_state`);
-only the dict path — which has no arrays to chunk or export — falls back to
-serial for every non-serial ``shards=`` spec:
+``batch_lemma4`` and shards across threads; only the dict path — which has
+no arrays to chunk — falls back to serial for every non-serial ``shards=``
+spec:
 
-============  =============  ============  =============  ==========  ====================  =========  ==========
-backend       batch_triples  batch_lemma4  shared export  footprints  executor tiers        streaming  durability
-============  =============  ============  =============  ==========  ====================  =========  ==========
-``dict``      no (scalar)    no (scalar)   no             observer    serial only           yes        WAL replay
-``dense``     yes            yes           yes            yes         thread + process      yes        snapshots
-``sparse``    yes            yes           yes            yes         thread + process      yes        snapshots
-``bitset``    yes            yes           yes            yes         thread + process      yes        snapshots
-============  =============  ============  =============  ==========  ====================  =========  ==========
+============  =============  ============  =============  ==========  ==============  =========  ==========
+backend       batch_triples  batch_lemma4  shared export  footprints  executor tiers  streaming  durability
+============  =============  ============  =============  ==========  ==============  =========  ==========
+``dict``      no (scalar)    no (scalar)   no             observer    serial only     yes        WAL replay
+``dense``     yes            yes           yes            yes         thread          yes        snapshots
+``sparse``    yes            yes           yes            yes         thread          yes        snapshots
+``bitset``    yes            yes           yes            yes         thread          yes        snapshots
+============  =============  ============  =============  ==========  ==============  =========  ==========
 
 The same facts are exported machine-readably as
 :data:`BACKEND_CAPABILITIES` (one :class:`BackendCapability` per backend),
@@ -86,17 +84,19 @@ gap-detection pass recomputes the full grid from
 a report failed to plan — so adding a backend here (or a family there)
 makes an untested combination loud, not invisible.
 
-The *shared export* column is the ``supports_shared_export`` flag: the
-backend can ship its precomputed state (packed planes, count matrices, vote
-table, triple tensor where cached) through ``multiprocessing.shared_memory``
-so process shards attach views instead of rebuilding.  The *executor tiers*
-column lists which :mod:`repro.core.parallel` tiers can engage: the thread
-tier needs only a vectorized backend (chunks share the parent's statistics
-object, with every lazy cache pre-materialized), the process tier
-additionally needs the shared export.  ``shards="auto"`` picks the tier
-from the :func:`~repro.core.parallel.auto_shard_choice` cost model; see the
-:class:`~repro.core.m_worker.MWorkerEstimator` determinism contract for the
-size thresholds and serial-fallback guards.
+The *shared export* column serves durable snapshots only: the backend
+can export its precomputed state (packed planes, count matrices, vote
+table, triple tensor where cached) by name and rebuild itself from those
+arrays
+(:meth:`~repro.data.dense_backend.AgreementBackendBase.export_shared_state`
+/ ``attach_shared_state``), which is what the *durability* column's
+snapshots persist.  The *executor tiers* column lists which
+:mod:`repro.core.parallel` tiers can engage: threads need only a
+vectorized backend (chunks share the parent's statistics object, with
+every lazy cache pre-materialized).  ``shards="auto"`` picks serial or
+threads from the :func:`~repro.core.parallel.auto_shard_choice` cost
+model; see the :class:`~repro.core.m_worker.MWorkerEstimator` determinism
+contract for the size threshold and serial-fallback guards.
 
 The *footprints* column is the dependency protocol the incremental
 evaluator consumes.  On the vectorized backends ``evaluate_worker_range``
@@ -122,7 +122,7 @@ The *durability* column describes how a crashed durable session
 (:mod:`repro.serve.durable`) gets its statistics back.  The vectorized
 backends persist their full precomputed state in the periodic snapshots —
 the same packed planes / count matrices / vote tables the shared-export
-protocol ships between processes, restored through
+protocol names, restored through
 ``attach_shared_state`` with no count recomputation — so resume pays only
 the WAL delta beyond the newest snapshot.  The dict path has no arrays to
 snapshot; its statistics are rebuilt by replaying responses (the response
@@ -245,8 +245,8 @@ class BackendCapability:
     """Machine-readable row of the backend capability matrix above.
 
     Attributes mirror the documented columns: the batched bulk reads
-    (*batch_triples*/*batch_lemma4*), the shared-memory export behind
-    process sharding, the returned-footprint dependency protocol and the
+    (*batch_triples*/*batch_lemma4*), the state export behind durable
+    snapshots, the returned-footprint dependency protocol and the
     streaming delta-update protocol.  ``estimator_paths`` lists the
     binary estimator paths the backend serves (see the module docstring).
     """
@@ -431,11 +431,7 @@ class AgreementStatistics:
     the backend is delta-updated by the incremental evaluator).
     """
 
-    #: May be None only when a vectorized backend is supplied: every
-    #: statistics read is then served from the backend arrays and the sparse
-    #: store is never touched (shard worker processes rely on this to avoid
-    #: shipping the response matrix).
-    matrix: ResponseMatrix | None
+    matrix: ResponseMatrix
     backend: AgreementBackendBase | None = field(default=None, repr=False)
     observer: StatisticsObserver | None = field(default=None, repr=False)
     _pair_cache: dict[tuple[int, int], tuple[int, int]] = field(

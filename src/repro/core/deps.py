@@ -45,9 +45,9 @@ arrays so a micro-batch's invalidation query is a handful of vectorized
 membership tests (``np.isin`` against the batch's changed-pair array — one
 intersection pass, not per-pair set probes).  Footprints are plain arrays,
 so they serialize into durable snapshots (see
-:meth:`~repro.core.incremental.IncrementalEvaluator.export_state`) and ship
-across process boundaries through the shared-memory result channel of
-:mod:`repro.core.parallel` unchanged.
+:meth:`~repro.core.incremental.IncrementalEvaluator.export_state`) and
+merge across the thread chunks of :mod:`repro.core.parallel` in worker
+order.
 
 :class:`ObserverDependencyTracker` — the per-read observer — is retained
 for the dict backend (whose scalar evaluation path has no array ops to
@@ -98,8 +98,8 @@ class WorkerFootprint:
     Produced by :meth:`MWorkerEstimator.evaluate_worker_range
     <repro.core.m_worker.MWorkerEstimator.evaluate_worker_range>` with
     ``collect_footprints=True`` and consumed by :class:`DependencyLedger`.
-    Instances are plain arrays + a flag: picklable (they ride the
-    process-shard result channel) and snapshot-serializable.
+    Instances are plain arrays + a flag, so they are
+    snapshot-serializable.
     """
 
     worker: int

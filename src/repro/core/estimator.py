@@ -64,14 +64,13 @@ class WorkerEvaluator:
         evaluation (see :class:`~repro.core.m_worker.MWorkerEstimator`).
         Throughput only.
     shards:
-        Execution spec threaded into every stage this evaluator runs: an
-        integer shard count, ``"auto"``, ``"thread:N"`` or ``"process:N"``
-        (see :class:`~repro.core.m_worker.MWorkerEstimator` for the tier
-        thresholds and determinism contract).  Binary batch evaluation
-        shards the worker loop; the spammer filter thread-chunks its proxy
-        scan; the k-ary estimator validates the spec but always runs
-        serial (one triple — no worker loop).  ``1`` stays in-process
-        everywhere.
+        Execution spec for the binary stages: an integer thread count
+        (``1`` = serial) or ``"auto"`` (see
+        :class:`~repro.core.m_worker.MWorkerEstimator` for the tier
+        threshold and determinism contract).  Binary batch evaluation
+        shards the worker loop and the spammer filter chunks its proxy
+        scan; k-ary evaluation ignores it (Algorithm A3 evaluates one
+        triple — there is no worker loop to shard).
     """
 
     confidence: float = 0.95
@@ -176,7 +175,6 @@ class WorkerEvaluator:
             confidence=self.confidence,
             epsilon=self.kary_epsilon,
             backend=self.backend,
-            shards=self.shards,
         )
         estimates = estimator.evaluate(matrix, workers=workers)
         return {estimate.worker: estimate for estimate in estimates}

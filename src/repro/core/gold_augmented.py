@@ -137,13 +137,16 @@ class GoldAugmentedEvaluator:
     backend: str = "auto"
     batch_triples: bool = True
     batch_lemma4: bool = True
-    shards: int = 1
+    shards: int | str = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.confidence < 1.0):
             raise ConfigurationError(
                 f"confidence must lie strictly between 0 and 1, got {self.confidence}"
             )
+        from repro.core.parallel import parse_shard_spec
+
+        parse_shard_spec(self.shards)
 
     def evaluate_all(self, matrix: ResponseMatrix) -> dict[int, WorkerErrorEstimate]:
         """Fused intervals for every worker.

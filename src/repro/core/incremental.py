@@ -42,8 +42,8 @@ pairs, preserving the "identical to batch" guarantee while letting
 unrelated cached intervals survive.
 
 Footprints are recorded on **every** execution tier — the batched serial
-path and the thread/process shards ship their per-shard dependency logs
-back with the estimates (see
+path and the thread shards return their per-chunk dependency logs with
+the estimates (see
 :func:`~repro.core.parallel.evaluate_worker_subset`) — so incremental
 recomputes honour ``shards=`` like any batch run.  The remaining serial
 fallbacks are the documented ones: the dict backend (whose scalar path
@@ -197,9 +197,9 @@ class IncrementalEvaluator:
         spec fails at construction).  On the vectorized backends dirty
         workers are re-evaluated in bulk through
         :func:`~repro.core.parallel.evaluate_worker_subset` with dependency
-        footprints shipped back alongside the estimates, so
-        ``"auto"``/``"thread:N"``/``"process:N"`` engage exactly as they do
-        for a batch ``evaluate_all`` — no silent serial degradation.  The
+        footprints returned alongside the estimates, so ``N > 1`` and
+        ``"auto"`` engage threads exactly as they do for a batch
+        ``evaluate_all`` — no silent serial degradation.  The
         documented serial fallbacks are the dict backend (scalar path, the
         legacy per-read observer), a custom rng, and fewer dirty workers
         than shards.
@@ -493,8 +493,9 @@ class IncrementalEvaluator:
         the legacy observer (dict-backend recomputes) restore cold; they
         are recomputed deterministically from the counts, so omitting them
         cannot change a served interval (only when it is recomputed).
-        Exporting materializes the backend's lazy caches as a side effect,
-        exactly like the process-sharding export this reuses.
+        Exporting materializes the backend's lazy caches as a side effect
+        (see
+        :meth:`~repro.data.dense_backend.AgreementBackendBase.export_shared_state`).
         """
         matrix = self._matrix
         count = matrix.n_responses
@@ -809,7 +810,7 @@ class IncrementalEvaluator:
 
         Ledger mode: one :func:`~repro.core.parallel.evaluate_worker_subset`
         call, which honours the estimator's ``shards=`` spec (footprints
-        ship back through the shard result channel in worker order).
+        come back with each chunk's estimates, merged in worker order).
         Observer mode: the legacy serial loop under the per-read observer.
         """
         if not workers:

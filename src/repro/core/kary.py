@@ -361,21 +361,15 @@ class KaryEstimator:
         per-task Python loop, ``"auto"`` picks a vectorized backend for
         matrices small enough to materialize.  The tensors are exactly
         equal either way.
-    shards:
-        Accepted and validated for interface parity with the binary
-        estimators (the :class:`~repro.core.estimator.WorkerEvaluator`
-        threads one spec into both), but A3 evaluates exactly **one**
-        triple of workers — there is no worker loop to shard — so every
-        spec executes serially.  Validation still rejects malformed specs
-        (``0``, negatives, garbage strings) so a typo fails loudly here
-        exactly as it would on the binary path.
+
+    A3 evaluates exactly one triple of workers, so there is no worker loop
+    to shard and the estimator has no ``shards`` knob.
     """
 
     confidence: float = 0.95
     epsilon: float = 0.01
     normalize: bool = True
     backend: str = "auto"
-    shards: int | str = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.confidence < 1.0):
@@ -384,9 +378,6 @@ class KaryEstimator:
             )
         if self.epsilon <= 0.0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        from repro.core.parallel import parse_shard_spec
-
-        parse_shard_spec(self.shards)
 
     def evaluate(
         self,

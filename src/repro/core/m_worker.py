@@ -27,9 +27,9 @@ groups' covariance grids are stacked into 3-D tensors, and the Lemma-5
 weight solve runs as one batched factorization per group.  Step 2 is
 batched the same way (:func:`~repro.core.three_worker.evaluate_triples_batched`
 evaluates all of a worker's triples in one vectorized pass), and
-``evaluate_all`` can additionally be sharded across processes over
-shared-memory statistics arrays (``shards=``; see :class:`MWorkerEstimator`
-for the determinism contract).  The scalar loops are kept as the reference
+``evaluate_all`` can additionally be sharded across threads over one
+shared statistics object (``shards=``; see :class:`MWorkerEstimator` for
+the determinism contract).  The scalar loops are kept as the reference
 (and the fallback for the dict backend and for degenerate pairings).
 """
 
@@ -87,8 +87,8 @@ def _upper_triangle_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Batch evaluation reuses a few sizes thousands of times, but each cached
     entry holds two ``n(n-1)/2`` int64 arrays — memoizing large sizes would
-    retain far more memory than it saves (and once per shard process), so
-    those fall through to a fresh computation.
+    retain far more memory than it saves, so those fall through to a fresh
+    computation.
     """
     if n > 256:
         return np.triu_indices(n, k=1)
@@ -329,13 +329,10 @@ class MWorkerEstimator:
         Execution spec for :meth:`evaluate_all` (parsed by
         :func:`~repro.core.parallel.parse_shard_spec`).  ``1`` (the
         default) stays serial; an integer ``N > 1`` partitions the worker
-        loop across ``N`` processes of the reusable
-        :class:`~repro.core.parallel.ShardExecutor`, with the backend's
-        precomputed statistics exported once via
-        ``multiprocessing.shared_memory``; ``"thread:N"`` uses the thread
-        tier (no export — the NumPy kernels release the GIL);
-        ``"process:N"`` names the process tier explicitly; ``"auto"``
-        picks serial/thread/process from the
+        loop across ``N`` threads of the reusable
+        :class:`~repro.core.parallel.ShardExecutor`, which share the
+        parent's statistics object (the NumPy kernels release the GIL);
+        ``"auto"`` picks serial or threads from the
         :func:`~repro.core.parallel.auto_shard_choice` cost model.
 
     Shard/merge determinism contract
@@ -344,8 +341,8 @@ class MWorkerEstimator:
     construction, and the cross-backend differential suite enforces it:
 
     * every statistic a shard reads comes from the *same* frozen arrays the
-      serial path reads (the parent builds the dense backend's attempt,
-      label and pair-count matrices once and shares them read-only);
+      serial path reads (the shards share the parent's statistics object,
+      with every lazily-built cache materialized before the fan-out);
     * each worker's estimate depends only on those arrays and the estimator
       configuration — never on which shard computed it, on shard count, or
       on evaluation order across workers;
@@ -358,10 +355,7 @@ class MWorkerEstimator:
     count *within* the shard).  Because every batched operation is
     per-slice, group membership — and therefore shard membership — cannot
     influence any worker's numbers, so ``shards=N`` plus ``batch_lemma4``
-    remains bit-identical to the serial scalar path.  The thread tier
-    shares the parent's statistics object outright (every lazily-built
-    cache is materialized before the fan-out), so it is bit-identical for
-    the same reason with even less machinery.
+    remains bit-identical to the serial scalar path.
 
     Execution tiers and thresholds
     ------------------------------
@@ -369,16 +363,13 @@ class MWorkerEstimator:
     :func:`~repro.core.parallel.auto_shard_choice` cost model on the work
     proxy ``m^2 * n * fill`` (the Lemma-4 term count): below
     :data:`~repro.core.parallel.AUTO_SHARD_THREAD_MIN_WORK` (2^22) the
-    batch stays **serial** — chunking overhead dominates; up to
-    :data:`~repro.core.parallel.AUTO_SHARD_PROCESS_MIN_WORK` (2^27) it
-    uses the **thread** tier (no export, no spawn; the NumPy kernels
-    release the GIL); above that the **process** tier, whose per-call
-    shared-memory export amortizes against the evaluation.  Shard count is
-    ``min(usable cores, 8, m)``, and hosts with fewer than two usable
-    cores always resolve serial — no tier can beat serial without
-    parallel hardware.
+    batch stays **serial** — chunking overhead dominates; above it the
+    batch uses **threads** (the NumPy kernels release the GIL).  Shard
+    count is ``min(usable cores, 8, m)``, and hosts with fewer than two
+    usable cores always resolve serial — threads cannot beat serial
+    without parallel hardware.
 
-    Any tier falls back to serial whenever the contract cannot hold or
+    Threads fall back to serial whenever the contract cannot hold or
     sharding cannot help: no vectorized backend (the dict path), fewer
     workers than shards, a custom ``rng`` (the random pairing strategy
     consumes the generator sequentially across workers, which no pool can
@@ -386,14 +377,10 @@ class MWorkerEstimator:
     dependency recorder must see every read; the incremental evaluator no
     longer attaches one on vectorized backends — it consumes the
     footprints :meth:`evaluate_worker_range` returns instead, so its
-    recomputes shard like any batch run).  The process tier additionally
-    requires
-    ``supports_shared_export``, which every vectorized backend — dense,
-    sparse and bitset — now provides (see
-    :meth:`~repro.data.dense_backend.AgreementBackendBase.export_shared_state`).
-    The batching knobs need no such fallback: ``batch_triples`` and
-    ``batch_lemma4`` compose with every vectorized backend (see the
-    capability matrix in :mod:`repro.core.agreement`).
+    recomputes shard like any batch run).  The batching knobs need no such
+    fallback: ``batch_triples`` and ``batch_lemma4`` compose with every
+    vectorized backend (see the capability matrix in
+    :mod:`repro.core.agreement`).
     """
 
     confidence: float = 0.95
@@ -591,26 +578,16 @@ class MWorkerEstimator:
     def evaluate_all(self, matrix: ResponseMatrix) -> list[WorkerErrorEstimate]:
         """Confidence intervals for every worker in the matrix.
 
-        The ``shards`` spec selects the execution tier — serial,
-        thread-chunked, or process-sharded over shared-memory statistics
-        arrays through the reusable executor; see the class docstring for
-        the tier thresholds, the determinism contract and the
+        The ``shards`` spec selects the execution tier — serial or
+        thread-chunked through the reusable executor; see the class
+        docstring for the tier threshold, the determinism contract and the
         serial-fallback guards.
         """
-        from repro.core.parallel import (
-            evaluate_all_process,
-            evaluate_all_threaded,
-            resolve_execution,
-        )
+        from repro.core.parallel import evaluate_worker_subset
 
         stats = compute_agreement_statistics(matrix, backend=self.backend)
-        tier, shards = resolve_execution(self, matrix, stats)
-        if tier == "process":
-            return evaluate_all_process(self, matrix, stats, shards)
-        if tier == "thread":
-            return evaluate_all_threaded(self, matrix, stats, shards)
-        return self.evaluate_worker_range(
-            matrix, stats, list(range(matrix.n_workers))
+        return evaluate_worker_subset(
+            self, matrix, stats, list(range(matrix.n_workers))
         )
 
     def evaluate_worker_range(
@@ -626,7 +603,7 @@ class MWorkerEstimator:
         """Evaluate a set of workers sharing one statistics object.
 
         This is the common entry point of the serial batch path and of each
-        shard process (which passes its contiguous worker range): when the
+        thread shard (which passes its contiguous worker chunk): when the
         batched stage applies, the workers' triples are evaluated in
         cross-worker batches, otherwise each worker goes through
         :meth:`evaluate_worker`.  Results are returned in the order of
@@ -638,8 +615,8 @@ class MWorkerEstimator:
         ``workers``, summarizing the statistics each estimate read.  This
         is the footprint protocol the incremental evaluator's dependency
         ledger consumes — it replaces the per-read ``observer`` callback,
-        works on every execution path (batched, thread- and
-        process-sharded), and requires the greedy pairing strategy.
+        works on every execution path (batched and thread-sharded), and
+        requires the greedy pairing strategy.
         """
         if collect_footprints and (
             self.pairing_strategy != "greedy" or self.rng is not None
@@ -958,20 +935,6 @@ class MWorkerEstimator:
                 )
             )
         return estimates
-
-    def _shardable(self, matrix: ResponseMatrix, stats: AgreementStatistics) -> bool:
-        """Whether the process-sharded path applies (else another tier).
-
-        Compatibility wrapper over
-        :func:`~repro.core.parallel.resolve_execution`, which owns the
-        guard list (no exportable backend, fewer workers than shards, a
-        custom ``rng``, an attached observer) and the ``"auto"`` cost
-        model; kept because the shard-guard tests pin its semantics for
-        integer specs.
-        """
-        from repro.core.parallel import resolve_execution
-
-        return resolve_execution(self, matrix, stats)[0] == "process"
 
     # ------------------------------------------------------------------ #
 

@@ -87,11 +87,9 @@ def filter_spammers(
         filtering decision) are identical either way.
     shards:
         Execution spec for the proxy scan, same grammar as the estimators'
-        knob (:func:`~repro.core.parallel.parse_shard_spec`).  The scan is
-        a single O(responses) pass over a vote table built once, so
-        exporting state to a process pool can never pay for itself here:
-        every non-serial tier (including ``"process:N"`` and a non-serial
-        ``"auto"`` resolution) runs as *thread* chunks over
+        knob (:func:`~repro.core.parallel.parse_shard_spec`): ``N > 1`` or
+        a non-serial ``"auto"`` resolution runs the scan as thread chunks
+        over
         :meth:`~repro.data.dense_backend.AgreementBackendBase.majority_disagreement_rates`
         with the vote table pre-built.  Rates are concatenated in chunk
         order — worker order — so the result is bit-identical to serial;

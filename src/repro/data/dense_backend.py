@@ -167,18 +167,6 @@ class AgreementBackendBase:
     ``bitset``  packed bits only         AND + popcount over packed rows
     ==========  =======================  ==================================
 
-    Capability flags
-    ----------------
-    ``supports_shared_export``
-        Whether the backend implements the shared-state export protocol
-        (:meth:`export_shared_state` / :meth:`attach_shared_state`) that
-        process-sharded evaluation uses to ship precomputed state through
-        ``multiprocessing.shared_memory`` (:mod:`repro.core.parallel`).
-        Every vectorized backend — dense, sparse and bitset — supports it;
-        only the dict path (no backend at all) forces ``shards=`` back to
-        serial evaluation (results are identical — the knob is
-        throughput-only).
-
     Subclass contract
     -----------------
     Concrete backends must provide the storage hooks ``_packed_rows``
@@ -198,10 +186,6 @@ class AgreementBackendBase:
 
     #: Knob value the backend answers to (``resolve_backend`` choice name).
     name: str = "base"
-
-    #: See the class docstring; every concrete vectorized backend flips
-    #: this on by implementing the shared-state export protocol below.
-    supports_shared_export: bool = False
 
     #: Cap on the Python-list mirror of the pair-count matrix (~28 bytes per
     #: int object; 1024^2 is ~30 MB).
@@ -440,28 +424,23 @@ class AgreementBackendBase:
         return None
 
     # ------------------------------------------------------------------ #
-    # Shared-state export (process-sharded evaluation)
+    # Shared-state export (durable snapshots)
     # ------------------------------------------------------------------ #
 
     def export_shared_state(self) -> dict[str, np.ndarray]:
-        """Every array a shard needs, keyed for :meth:`attach_shared_state`.
+        """Every precomputed array, keyed for :meth:`attach_shared_state`.
 
-        The export protocol behind ``supports_shared_export``: the parent
-        process materializes its precomputed state (storage planes, count
-        matrices, vote table, the triple tensor where cached) and returns
-        the arrays by name; :mod:`repro.core.parallel` copies each into a
-        ``multiprocessing.shared_memory`` segment and shard processes
-        rebuild an equivalent backend over zero-copy views with
-        :meth:`attach_shared_state` — no count is ever recomputed in a
-        shard.  Keys are backend-specific; the only contract is that
+        Materializes the precomputed state (storage planes, count matrices,
+        vote table, the triple tensor where cached) and returns the arrays
+        by name.  Keys are backend-specific; the only contract is that
         ``attach_shared_state`` of the same class understands them.
 
-        The durable streaming layer (:mod:`repro.serve.durable`) reuses the
-        same export shapes as its snapshot payload: the arrays land on disk
-        (prefixed ``backend.`` in the snapshot manifest) and a resume hands
-        *writable copies* back to ``attach_shared_state``, so the restored
-        backend skips the from-scratch count rebuild and keeps
-        delta-updating the attached arrays in place.
+        The durable streaming layer (:mod:`repro.serve.durable`) persists
+        these arrays as its snapshot payload (prefixed ``backend.`` in the
+        snapshot manifest) and a resume hands *writable copies* back to
+        ``attach_shared_state``, so the restored backend skips the
+        from-scratch count rebuild and keeps delta-updating the attached
+        arrays in place.
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not support shared-state export"
@@ -478,12 +457,10 @@ class AgreementBackendBase:
     ) -> "AgreementBackendBase":
         """Rebuild a backend over the views of an exported state.
 
-        Inverse of :meth:`export_shared_state`.  Run inside shard
-        processes, ``arrays`` are read-only shared-memory views that must
-        not be mutated (and must outlive the backend — the caller keeps
-        the segments mapped).  Run on a durable-snapshot restore, they are
-        the loader's fresh writable copies and the attached backend
-        resumes streaming deltas against them directly.
+        Inverse of :meth:`export_shared_state`.  On a durable-snapshot
+        restore ``arrays`` are the loader's fresh writable copies, which
+        the attached backend adopts without copying and keeps
+        delta-updating in place; no count is recomputed.
         """
         raise NotImplementedError(
             f"backend {cls.name!r} does not support shared-state export"
@@ -721,7 +698,6 @@ class DenseAgreementBackend(AgreementBackendBase):
     """
 
     name = "dense"
-    supports_shared_export = True
 
     def __init__(self, matrix: ResponseMatrix) -> None:
         self._n_workers = matrix.n_workers
@@ -749,7 +725,7 @@ class DenseAgreementBackend(AgreementBackendBase):
 
         Called by both ``__init__`` and :meth:`from_arrays` (which builds
         instances via ``__new__``), so a cache added here exists on
-        shard-reconstructed backends too.
+        snapshot-restored backends too.
         """
         super()._init_caches(
             common_counts=common_counts, agreement_counts=agreement_counts
@@ -778,12 +754,10 @@ class DenseAgreementBackend(AgreementBackendBase):
     ) -> "DenseAgreementBackend":
         """Wrap existing indicator/label arrays without copying them.
 
-        This is how shard worker processes reconstruct a backend over
-        read-only ``multiprocessing.shared_memory`` buffers: the parent
-        exports ``attempts``/``labels`` (and optionally the precomputed
-        count matrices, so shards do not redo the O(m^2 n) matmuls) and each
-        shard views them in place.  The arrays are adopted as-is; callers
-        must not mutate them while the backend is alive.
+        This is how a snapshot restore reconstructs a backend: the
+        ``attempts``/``labels`` arrays (and optionally the precomputed count
+        matrices, so the O(m^2 n) matmuls are not redone) are adopted as-is,
+        so callers must not mutate them behind the backend's back.
         """
         if attempts.ndim != 2 or attempts.shape != labels.shape:
             raise DataValidationError(
@@ -808,10 +782,10 @@ class DenseAgreementBackend(AgreementBackendBase):
 
     def export_shared_state(self) -> dict[str, np.ndarray]:
         """Storage, count matrices, packed rows, votes and (when cached
-        or cacheable) the triple tensor — everything shards would
+        or cacheable) the triple tensor — everything a restore would
         otherwise rebuild.  Materializes lazily-built state as a side
-        effect, which is the point: pay each build once in the parent
-        instead of once per shard.
+        effect, which is the point: pay each build once at export instead
+        of once per restore.
         """
         exports = {
             "attempts": self._attempts,

@@ -36,13 +36,12 @@ Both backends inherit every shared query (scalar pairs/triples, the clamped
 rate caches, vote table, majority-disagreement proxy, A3 count tensor) from
 :class:`~repro.data.dense_backend.AgreementBackendBase` and implement the
 same O(row) ``apply_response`` delta update the incremental evaluator uses.
-Both also implement the shared-state export protocol behind ``shards=``
-(:mod:`repro.core.parallel`): the packed bit planes, count matrices and
-vote table ship through shared memory, so process shards attach views of
-the precomputed state instead of rebuilding it — the sparse backend's CSR
-index never leaves the parent (it is consumed building the count matrices
-before export).  See the :class:`~repro.core.m_worker.MWorkerEstimator`
-determinism contract.  Like the dense backend, both are
+Both also implement the shared-state export protocol durable snapshots
+use (:mod:`repro.serve.durable`): the packed bit planes, count matrices and
+vote table are persisted, so a resume attaches the precomputed state
+instead of rebuilding it — the sparse backend's CSR index is never
+persisted (it is consumed building the count matrices before export).
+Like the dense backend, both are
 footprint-capable: the incremental evaluator's dependency ledger derives
 each recompute's read set analytically (:mod:`repro.core.deps`), so
 dependency-tracked recomputes shard on these backends too.
@@ -114,7 +113,6 @@ class BitsetAgreementBackend(AgreementBackendBase):
     """
 
     name = "bitset"
-    supports_shared_export = True
 
     def __init__(self, matrix: ResponseMatrix) -> None:
         self._n_workers = matrix.n_workers
@@ -161,15 +159,14 @@ class BitsetAgreementBackend(AgreementBackendBase):
     # ------------------------------------------------------------------ #
 
     def export_shared_state(self) -> dict[str, np.ndarray]:
-        """The packed planes plus every precomputed count a shard reads.
+        """The packed planes plus every precomputed count evaluation reads.
 
-        Materializes the count matrices and vote table as a side effect
-        (once, in the parent) so shards never pay the popcount/CSR builds;
-        for the sparse subclass this also consumes and releases the CSR
-        index, which therefore never needs exporting.  The durable
-        snapshot layer (:mod:`repro.serve.durable`) persists exactly these
-        keys, which is also why a sparse-backed session restores without
-        scipy present: the CSR index was consumed before export, so
+        Materializes the count matrices and vote table as a side effect so
+        a restore never pays the popcount/CSR builds; for the sparse
+        subclass this also consumes and releases the CSR index, which
+        therefore never needs exporting.  The durable snapshot layer
+        (:mod:`repro.serve.durable`) persists exactly these keys, which is
+        also why a sparse-backed session restores without scipy present:
         :meth:`attach_shared_state` needs only the packed planes and
         counts.
         """
@@ -483,8 +480,8 @@ class SparseAgreementBackend(BitsetAgreementBackend):
 
         The exported state already contains the CSR-built count matrices,
         so an attached backend never runs a sparse product — it does not
-        even need scipy, which keeps shard processes importable on
-        scipy-free hosts evaluating a parent-side sparse backend.
+        even need scipy, which keeps sparse-backed snapshots restorable on
+        scipy-free hosts.
         """
         self = super().attach_shared_state(
             arrays, n_workers=n_workers, n_tasks=n_tasks, arity=arity

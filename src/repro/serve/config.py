@@ -44,8 +44,9 @@ class SessionConfig:
         setting a value overrides the persisted configuration (a backend
         override rebuilds statistics from the restored matrix).
     shards:
-        Execution spec for incremental recomputes (``1``, ``"auto"``,
-        ``"thread:N"``, ``"process:N"`` — see :mod:`repro.core.parallel`).
+        Execution spec for incremental recomputes: ``1`` (serial), an
+        integer ``N > 1`` (``N`` threads) or ``"auto"`` — see
+        :mod:`repro.core.parallel`.
     maxsize, max_batch:
         Queue bound (producer backpressure) and micro-batch cap.
     auto_extend:

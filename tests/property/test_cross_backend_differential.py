@@ -4,24 +4,22 @@ The library promises that its performance knobs never change results: the
 ``backend=`` choice (dict-of-dicts vs dense NumPy vs scipy.sparse CSR vs
 packed-bitset low-memory), the batched per-triple stage
 (``batch_triples=``), the grouped Lemma-4/5 aggregation (``batch_lemma4=``)
-and the execution tiers behind ``shards=`` (process sharding over shared
-memory, the thread tier, the ``"auto"`` cost model) are throughput features
-only.  This suite enforces the promise end to end — every public entry
-point is run under every applicable execution path (dict / dense-scalar /
-dense-batched / batched-lemma4 / thread-tier / process-sharded over each
-exportable backend / sparse / bitset) on randomized regular and
-non-regular matrices, and the produced intervals, weights and statuses are
-compared for *exact* floating-point equality against the original
+and the thread tier behind ``shards=`` (with its ``"auto"`` cost model) are
+throughput features only.  This suite enforces the promise end to end —
+every public entry point is run under every applicable execution path
+(dict / dense-scalar / dense-batched / batched-lemma4 / sparse / bitset,
+plus a thread-sharded column per vectorized backend) on randomized regular
+and non-regular matrices, and the produced intervals, weights and statuses
+are compared for *exact* floating-point equality against the original
 dict-of-dicts reference.
 
 Any future fast path should be added to :data:`EVALUATE_ALL_PATHS` and
 :data:`TRIPLE_SCOPED_BACKENDS` (or the entry-point-specific lists below)
 to inherit the same lockdown.  The suite also pins the composition
 contracts: every vectorized backend — dense, sparse *and* bitset — shards
-through the shared-state export protocol, only the dict path (no backend)
-falls back to serial for ``shards=``, and a ``backend="sparse"`` request
-degrades to a scipy-free backend with identical results when scipy is
-absent.
+across threads, only the dict path (no backend) falls back to serial for
+``shards=``, and a ``backend="sparse"`` request degrades to a scipy-free
+backend with identical results when scipy is absent.
 """
 
 from __future__ import annotations
@@ -107,17 +105,11 @@ EVALUATE_ALL_PATHS: dict[str, dict] = {
     "batched-lemma4": {
         "backend": "dense", "batch_triples": True, "batch_lemma4": True,
     },
-    "sharded": {
+    "dense-sharded": {
         "backend": "dense",
         "batch_triples": True,
         "batch_lemma4": True,
         "shards": 2,
-    },
-    "thread-tier": {
-        "backend": "dense",
-        "batch_triples": True,
-        "batch_lemma4": True,
-        "shards": "thread:2",
     },
     "sparse": {
         "backend": "sparse", "batch_triples": True, "batch_lemma4": True,
@@ -138,10 +130,6 @@ EVALUATE_ALL_PATHS: dict[str, dict] = {
         "shards": 2,
     },
 }
-
-#: The process-pool columns are slow to spin up; the grid test exercises
-#: them on a subset of cases (the in-process columns run everywhere).
-PROCESS_POOL_PATHS = frozenset({"sharded", "sparse-sharded", "bitset-sharded"})
 
 #: Backends exercised on the triple-scoped entry points (Algorithm A1/A3,
 #: the spammer filter, incremental evaluation); "dict" is the reference.
@@ -178,13 +166,8 @@ def test_evaluate_all_paths_bit_identical(seed, m, n, regular, optimize_weights)
     reference = MWorkerEstimator(
         confidence=0.9, optimize_weights=optimize_weights, **EVALUATE_ALL_PATHS["dict"]
     ).evaluate_all(matrix)
-    # The process-pool paths are slow to spin up (the executor's cached
-    # pool amortizes the spawn, but each call still pays the export);
-    # exercise them on a subset of the grid (one regular and one
-    # non-regular matrix) and the in-process paths everywhere.
-    shard_this_case = optimize_weights and seed in (101, 104)
     for path, config in EVALUATE_ALL_PATHS.items():
-        if path == "dict" or (path in PROCESS_POOL_PATHS and not shard_this_case):
+        if path == "dict":
             continue
         candidate = MWorkerEstimator(
             confidence=0.9, optimize_weights=optimize_weights, **config
@@ -252,13 +235,12 @@ def test_three_worker_paths_bit_identical(seed, regular, backend):
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("shards", [1, "thread:3", 4])
+@pytest.mark.parametrize("shards", [1, 3, 4])
 @pytest.mark.parametrize("backend", TRIPLE_SCOPED_BACKENDS)
 @pytest.mark.parametrize("seed,regular", [(301, True), (302, False)])
 def test_filter_spammers_paths_identical(seed, regular, backend, shards):
-    # Every shards spec (including the process grammar, which the filter
-    # documents as running thread-chunked) must reproduce the serial dict
-    # reference exactly on every backend.
+    # Every shards spec (serial and thread-chunked) must reproduce the
+    # serial dict reference exactly on every backend.
     matrix = random_matrix(seed, 10, 50, regular=regular, spammers=3)
     reference = filter_spammers(matrix, backend="dict")
     candidate = filter_spammers(matrix, backend=backend, shards=shards)
@@ -273,19 +255,16 @@ def test_filter_spammers_paths_identical(seed, regular, backend, shards):
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("shards", [1, "auto", 2])
 @pytest.mark.parametrize("backend", TRIPLE_SCOPED_BACKENDS)
 @pytest.mark.parametrize("seed,arity,regular", [(401, 3, True), (402, 4, False)])
-def test_kary_paths_bit_identical(seed, arity, regular, backend, shards):
-    # The k-ary estimator accepts every shards spec and always evaluates
-    # serially (one triple, no worker loop) — results must be unaffected.
+def test_kary_paths_bit_identical(seed, arity, regular, backend):
     matrix = random_matrix(seed, 5, 150, arity=arity, regular=regular)
     reference = KaryEstimator(confidence=0.9, backend="dict").evaluate(
         matrix, workers=(0, 1, 2)
     )
-    candidate = KaryEstimator(
-        confidence=0.9, backend=backend, shards=shards
-    ).evaluate(matrix, workers=(0, 1, 2))
+    candidate = KaryEstimator(confidence=0.9, backend=backend).evaluate(
+        matrix, workers=(0, 1, 2)
+    )
     for ref, cand in zip(reference, candidate):
         assert cand.worker == ref.worker
         assert cand.status is ref.status
@@ -420,13 +399,12 @@ STREAMED_SHARDED_BACKENDS = ["dict", "dense", "sparse", "bitset"]
 def test_streamed_sharded_sessions_bit_identical(seed):
     """25-seed fuzz of the sharded streaming path: shuffled streams with
     label revisions and mid-stream evaluations, served by sessions whose
-    incremental recomputes run under ``shards="thread:2"`` (and
-    ``"process:2"`` on a seed subset), on all four backends — estimates
-    must equal the from-scratch dict batch build bit for bit.  A second
-    leg replays the same stream with deterministic chopping through a
-    ledger-mode and an observer-mode evaluator side by side and asserts
-    the dependency ledger makes *identical invalidation decisions* to the
-    legacy per-read observer, batch by batch."""
+    incremental recomputes run on two threads (``shards=2``), on all four
+    backends — estimates must equal the from-scratch dict batch build bit
+    for bit.  A second leg replays the same stream with deterministic
+    chopping through a ledger-mode and an observer-mode evaluator side by
+    side and asserts the dependency ledger makes *identical invalidation
+    decisions* to the legacy per-read observer, batch by batch."""
     import asyncio
 
     from repro.serve import SessionConfig, open_session
@@ -450,9 +428,7 @@ def test_streamed_sharded_sessions_bit_identical(seed):
         int(position) for position in rng.integers(0, len(records), size=2)
     )
     max_batch = int(rng.integers(1, 24))
-    # The process pool is slow to spin up; exercise the process tier on a
-    # seed subset and the thread tier everywhere.
-    shards = "process:2" if seed % 8 == 3 else "thread:2"
+    shards = 2
 
     async def stream(backend):
         config = SessionConfig(backend=backend, max_batch=max_batch, shards=shards)
@@ -822,21 +798,19 @@ def test_legacy_layout_kill_resume_fuzz_bit_identical(seed, legacy_layout, tmp_p
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("shards", [4, "thread:2", "auto"])
+@pytest.mark.parametrize("shards", [4, 2, "auto"])
 def test_shards_with_dict_backend_falls_back_to_serial(shards, monkeypatch):
     """``shards=`` composes with the dict backend via the documented serial
     fallback: it is the only backend without a vectorized dense view, so no
     execution tier may engage and results must still equal the reference.
 
-    (Sparse and bitset now export shared state and genuinely shard — their
-    bit-identity is covered by the sparse-sharded/bitset-sharded columns of
-    the path matrix above.)"""
+    (Sparse and bitset genuinely shard — their bit-identity is covered by
+    the sparse-sharded/bitset-sharded columns of the path matrix above.)"""
     import repro.core.parallel as parallel_module
 
     def _forbidden(*args, **kwargs):  # pragma: no cover - failure path
         raise AssertionError(f"no tier may engage for dict + shards={shards!r}")
 
-    monkeypatch.setattr(parallel_module, "evaluate_all_process", _forbidden)
     monkeypatch.setattr(parallel_module, "evaluate_all_threaded", _forbidden)
     matrix = random_matrix(104, 14, 40, regular=False)
     reference = MWorkerEstimator(confidence=0.9, backend="dict").evaluate_all(matrix)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.agreement import AgreementStatistics, compute_agreement_statistics
 from repro.core.m_worker import MWorkerEstimator
+from repro.core.parallel import resolve_execution
 from repro.core.three_worker import (
     evaluate_triples_batched,
     evaluate_worker_in_triple,
@@ -258,7 +259,7 @@ class TestShardGuards:
                 matrix.add_response(worker, task, (task + (worker == 3)) % 2)
         estimator = MWorkerEstimator(confidence=0.9, backend="dense", shards=16)
         stats = compute_agreement_statistics(matrix, backend="dense")
-        assert not estimator._shardable(matrix, stats)
+        assert resolve_execution(estimator, matrix, stats) == ("serial", 1)
         results = estimator.evaluate_all(matrix)
         assert [estimate.worker for estimate in results] == [0, 1, 2, 3]
         serial = MWorkerEstimator(confidence=0.9, backend="dense").evaluate_all(matrix)
@@ -270,7 +271,7 @@ class TestShardGuards:
         matrix, _ = simulated_binary
         estimator = MWorkerEstimator(backend="dict", shards=4)
         stats = compute_agreement_statistics(matrix, backend="dict")
-        assert not estimator._shardable(matrix, stats)
+        assert resolve_execution(estimator, matrix, stats) == ("serial", 1)
         assert len(estimator.evaluate_all(matrix)) == matrix.n_workers
 
     def test_custom_rng_never_shards(self, simulated_binary):
@@ -282,7 +283,7 @@ class TestShardGuards:
             rng=np.random.default_rng(0),
         )
         stats = compute_agreement_statistics(matrix, backend="dense")
-        assert not estimator._shardable(matrix, stats)
+        assert resolve_execution(estimator, matrix, stats) == ("serial", 1)
 
     def test_shards_validation(self):
         with pytest.raises(ConfigurationError):

@@ -67,21 +67,21 @@ class TestEvaluateCommand:
         # Spec validation happens at parse time now, so argparse aborts
         # with the usage-error exit code instead of main() returning it.
         responses, _ = csv_dataset
-        for bad in ("0", "-2", "thread:0", "bogus"):
+        for bad in ("0", "-2", "thread:0", "bogus", "thread:2", "process:2"):
             with pytest.raises(SystemExit) as excinfo:
                 main(["evaluate", str(responses), "--shards", bad])
             assert excinfo.value.code == 2, bad
             assert "--shards" in capsys.readouterr().err, bad
 
     def test_evaluate_accepts_shard_specs(self, csv_dataset, capsys):
-        # 'auto' and explicit tier specs parse and print the same table as
-        # the serial run (on this 4-worker matrix every spec resolves to a
+        # 'auto' and thread counts parse and print the same table as the
+        # serial run (on this 4-worker matrix every spec resolves to a
         # small or serial execution, and results are identical on every
         # tier by the determinism contract).
         responses, gold = csv_dataset
         assert main(["evaluate", str(responses), "--gold", str(gold)]) == 0
         reference = capsys.readouterr().out
-        for spec in ("auto", "thread:2", "process:2", "1"):
+        for spec in ("auto", "2", "1"):
             assert (
                 main(["evaluate", str(responses), "--gold", str(gold),
                       "--shards", spec])

@@ -164,6 +164,13 @@ class TestGoldAugmentedEvaluator:
                 assert cand.weights == ref.weights, config
                 assert cand.status is ref.status, config
 
+    @pytest.mark.parametrize("shards", [0, -1, True, "process:2"])
+    def test_malformed_shards_rejected_at_construction(self, shards):
+        # Validated like every other estimator's knob: a bad spec fails
+        # here, not deep inside the first evaluate_all.
+        with pytest.raises(ConfigurationError):
+            GoldAugmentedEvaluator(shards=shards)
+
     def test_validation(self, simulated_kary):
         kary_matrix, _ = simulated_kary
         with pytest.raises(ConfigurationError):

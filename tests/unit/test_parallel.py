@@ -1,35 +1,36 @@
-"""Unit tests for the reusable parallel execution layer.
+"""Unit tests for the thread-parallel execution layer.
 
-The cross-backend differential suite owns bit-identity of every tier; these
-tests pin the layer's own contracts: spec parsing, the ``"auto"`` cost
-model, executor pool reuse and shutdown semantics, the O(1) matrix view,
-and that a failed process-sharded call never leaks shared memory.
+The cross-backend differential suite owns bit-identity of the thread tier;
+these tests pin the layer's own contracts: spec parsing, the ``"auto"``
+cost model, executor pool reuse and shutdown semantics, chunk dispatch and
+that a failing chunk surfaces its error without poisoning the shared pool.
 """
 
 from __future__ import annotations
-
-from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
 
 import repro.core.parallel as parallel_module
-from repro.core.m_worker import MWorkerEstimator
 from repro.core.agreement import compute_agreement_statistics
+from repro.core.estimator import WorkerEvaluator
+from repro.core.gold_augmented import GoldAugmentedEvaluator
+from repro.core.incremental import IncrementalEvaluator
+from repro.core.m_worker import MWorkerEstimator
 from repro.core.parallel import (
-    AUTO_SHARD_PROCESS_MIN_WORK,
     AUTO_SHARD_THREAD_MIN_WORK,
     MAX_AUTO_SHARDS,
     ShardExecutor,
-    SharedMatrixView,
     auto_shard_choice,
     contiguous_ranges,
-    evaluate_all_process,
+    evaluate_worker_subset,
     get_executor,
     parse_shard_spec,
 )
+from repro.core.spammer_filter import filter_spammers
 from repro.data.response_matrix import ResponseMatrix
 from repro.exceptions import ConfigurationError
+from repro.serve import SessionConfig
 
 
 def build_matrix(seed: int = 7, n_workers: int = 9, n_tasks: int = 40):
@@ -49,15 +50,12 @@ class TestParseShardSpec:
         [
             (1, ("serial", 1)),
             ("1", ("serial", 1)),
-            (5, ("process", 5)),
-            ("6", ("process", 6)),
+            (2, ("thread", 2)),
+            (5, ("thread", 5)),
+            ("6", ("thread", 6)),
+            (" 3 ", ("thread", 3)),
             ("auto", ("auto", None)),
             ("  AUTO ", ("auto", None)),
-            ("thread:3", ("thread", 3)),
-            ("process:2", ("process", 2)),
-            # N == 1 collapses to serial regardless of the pinned tier
-            ("thread:1", ("serial", 1)),
-            ("process:1", ("serial", 1)),
         ],
     )
     def test_accepted_specs(self, spec, expected):
@@ -66,11 +64,43 @@ class TestParseShardSpec:
     @pytest.mark.parametrize(
         "spec",
         [0, -2, True, 2.5, "0", "-3", "thread:0", "process:-1",
-         "thread:x", "bogus", ""],
+         "thread:x", "bogus", "",
+         # the tier-prefixed grammar is retired: N alone means N threads
+         "thread:3", "process:2", "thread:1", "process:1", "THREAD:2",
+         "process:4"],
     )
     def test_rejected_specs(self, spec):
         with pytest.raises(ConfigurationError):
             parse_shard_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
+    def test_prefixed_spec_error_names_the_grammar(self, spec):
+        with pytest.raises(ConfigurationError, match="positive integer.*'auto'"):
+            parse_shard_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spec: MWorkerEstimator(shards=spec),
+        lambda spec: WorkerEvaluator(shards=spec),
+        lambda spec: GoldAugmentedEvaluator(shards=spec),
+        lambda spec: IncrementalEvaluator(3, 4, shards=spec),
+        lambda spec: SessionConfig(shards=spec),
+        lambda spec: filter_spammers(build_matrix(), shards=spec),
+    ],
+    ids=[
+        "MWorkerEstimator",
+        "WorkerEvaluator",
+        "GoldAugmentedEvaluator",
+        "IncrementalEvaluator",
+        "SessionConfig",
+        "filter_spammers",
+    ],
+)
+def test_every_entry_point_rejects_prefixed_specs(build):
+    with pytest.raises(ConfigurationError):
+        build("process:2")
 
 
 class TestAutoShardChoice:
@@ -85,21 +115,20 @@ class TestAutoShardChoice:
         assert auto_shard_choice(10, 10, 100, cores=8) == ("serial", 1)
 
     def test_medium_work_picks_thread_tier(self):
-        # 200 x 2000 fully filled: 8e7 sits between the 2^22 and 2^27 limits.
+        # 200 x 2000 fully filled: 8e7 clears the 2^22 limit.
         work = 200 * 200 * 2000
-        assert AUTO_SHARD_THREAD_MIN_WORK <= work < AUTO_SHARD_PROCESS_MIN_WORK
+        assert work >= AUTO_SHARD_THREAD_MIN_WORK
         assert auto_shard_choice(200, 2000, 200 * 2000, cores=8) == ("thread", 8)
 
-    def test_large_work_picks_process_tier(self):
-        # 500 x 20000 at 10% fill clears the process threshold.
+    def test_large_work_picks_thread_tier(self):
+        # 500 x 20000 at 10% fill: threads are the only parallel tier, so
+        # even the largest work stays on them.
         responses = 500 * 20_000 // 10
-        work = 500 * 500 * 20_000 // 10
-        assert work >= AUTO_SHARD_PROCESS_MIN_WORK
-        assert auto_shard_choice(500, 20_000, responses, cores=4) == ("process", 4)
+        assert auto_shard_choice(500, 20_000, responses, cores=4) == ("thread", 4)
 
     def test_shard_count_capped_by_cores_and_ceiling(self):
         tier, shards = auto_shard_choice(500, 20_000, 500 * 20_000, cores=32)
-        assert tier == "process"
+        assert tier == "thread"
         assert shards == MAX_AUTO_SHARDS
         assert auto_shard_choice(500, 20_000, 500 * 20_000, cores=2)[1] == 2
 
@@ -119,21 +148,6 @@ class TestContiguousRanges:
         assert covered == list(range(n))
 
 
-class TestSharedMatrixView:
-    def test_constant_time_counts_and_properties(self):
-        counts = np.array([5, 0, 12], dtype=np.int64)
-        view = SharedMatrixView(counts, n_tasks=40, arity=2)
-        assert view.n_workers == 3
-        assert view.n_tasks == 40
-        assert view.arity == 2
-        assert view.is_binary
-        assert [view.n_tasks_of(w) for w in range(3)] == [5, 0, 12]
-
-    def test_non_binary_flag(self):
-        view = SharedMatrixView(np.array([1], dtype=np.int64), n_tasks=4, arity=3)
-        assert not view.is_binary
-
-
 class TestShardExecutor:
     def test_thread_pools_cached_by_size(self):
         with ShardExecutor() as executor:
@@ -150,8 +164,6 @@ class TestShardExecutor:
         assert executor.closed
         with pytest.raises(ConfigurationError):
             executor.thread_pool(2)
-        with pytest.raises(ConfigurationError):
-            executor.process_pool(2)
 
     def test_get_executor_is_shared_and_recreated_after_shutdown(self):
         shared = get_executor()
@@ -161,16 +173,16 @@ class TestShardExecutor:
         assert fresh is not shared
         assert not fresh.closed
 
-    def test_process_pool_reused_across_evaluations(self):
+    def test_thread_pool_reused_across_evaluations(self):
         matrix = build_matrix()
         serial = MWorkerEstimator(confidence=0.9, backend="dense").evaluate_all(
             matrix
         )
         estimator = MWorkerEstimator(confidence=0.9, backend="dense", shards=2)
         first = estimator.evaluate_all(matrix)
-        pool = get_executor().process_pool(2)
+        pool = get_executor().thread_pool(2)
         second = estimator.evaluate_all(matrix)
-        assert get_executor().process_pool(2) is pool
+        assert get_executor().thread_pool(2) is pool
         assert first == serial
         assert second == serial
 
@@ -178,7 +190,7 @@ class TestShardExecutor:
 class TestShardedModuleRemoved:
     def test_module_is_gone(self):
         # repro.core.sharded finished its deprecation cycle and its
-        # import-error stub is deleted too: the sharded tiers live in
+        # import-error stub is deleted too: the thread tier lives in
         # repro.core.parallel only.
         import importlib
         import sys
@@ -188,62 +200,55 @@ class TestShardedModuleRemoved:
         assert "repro.core.sharded" not in sys.modules
 
 
-class TestExportCleanup:
-    def _recording_export(self, monkeypatch):
-        original = parallel_module._export_array
-        exported: list[str] = []
+class TestWorkerSubsetDispatch:
+    def _setup(self, shards=2):
+        matrix = build_matrix()
+        estimator = MWorkerEstimator(confidence=0.9, backend="dense", shards=shards)
+        stats = compute_agreement_statistics(matrix, backend="dense")
+        return matrix, estimator, stats
 
-        def recording(array):
-            segment, spec = original(array)
-            exported.append(spec.name)
-            return segment, spec
-
-        monkeypatch.setattr(parallel_module, "_export_array", recording)
-        return exported
-
-    def _assert_all_unlinked(self, names):
-        assert names, "the export step never ran"
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name)
-
-    def test_failed_dispatch_unlinks_every_segment(self, monkeypatch):
-        exported = self._recording_export(monkeypatch)
-
-        class FailingPool:
-            def map(self, func, payloads):
-                raise RuntimeError("pool initializer died")
-
-        class FailingExecutor:
-            def process_pool(self, shards):
-                return FailingPool()
-
-        monkeypatch.setattr(
-            parallel_module, "get_executor", lambda: FailingExecutor()
+    def test_subset_in_given_order_with_footprints(self):
+        matrix, estimator, stats = self._setup()
+        workers = [7, 2, 5, 0, 8]
+        estimates, footprints = evaluate_worker_subset(
+            estimator, matrix, stats, workers, collect_footprints=True
         )
-        matrix = build_matrix()
-        estimator = MWorkerEstimator(confidence=0.9, backend="dense", shards=2)
-        stats = compute_agreement_statistics(matrix, backend="dense")
-        with pytest.raises(RuntimeError, match="pool initializer died"):
-            evaluate_all_process(estimator, matrix, stats, 2)
-        self._assert_all_unlinked(exported)
+        serial_estimates, serial_footprints = estimator.evaluate_worker_range(
+            matrix, stats, workers, collect_footprints=True
+        )
+        assert [estimate.worker for estimate in estimates] == workers
+        assert estimates == serial_estimates
+        assert len(footprints) == len(serial_footprints) == len(workers)
+        for threaded, serial in zip(footprints, serial_footprints):
+            assert threaded.worker == serial.worker
+            assert threaded.touch_target == serial.touch_target
+            assert np.array_equal(threaded.pairs, serial.pairs)
+            assert np.array_equal(threaded.support, serial.support)
 
-    def test_failed_export_unlinks_earlier_segments(self, monkeypatch):
-        exported = self._recording_export(monkeypatch)
-        recording = parallel_module._export_array
-        calls = {"n": 0}
+    def test_fewer_workers_than_shards_stays_serial(self, monkeypatch):
+        matrix, estimator, stats = self._setup(shards=4)
 
-        def failing(array):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise OSError("shared memory exhausted")
-            return recording(array)
+        def _forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("three workers cannot fill four shards")
 
-        monkeypatch.setattr(parallel_module, "_export_array", failing)
-        matrix = build_matrix()
-        estimator = MWorkerEstimator(confidence=0.9, backend="dense", shards=2)
-        stats = compute_agreement_statistics(matrix, backend="dense")
-        with pytest.raises(OSError, match="shared memory exhausted"):
-            evaluate_all_process(estimator, matrix, stats, 2)
-        assert len(exported) == 2
-        self._assert_all_unlinked(exported)
+        monkeypatch.setattr(parallel_module, "evaluate_all_threaded", _forbidden)
+        estimates = evaluate_worker_subset(estimator, matrix, stats, [1, 4, 6])
+        assert [estimate.worker for estimate in estimates] == [1, 4, 6]
+
+    def test_failing_chunk_raises_and_pool_stays_usable(self, monkeypatch):
+        matrix, estimator, _ = self._setup()
+        serial = MWorkerEstimator(confidence=0.9, backend="dense").evaluate_all(
+            matrix
+        )
+        original = MWorkerEstimator.evaluate_worker_range
+
+        def failing(self, matrix, stats, workers, collect_footprints=False):
+            if 0 not in workers:
+                raise RuntimeError("chunk died")
+            return original(self, matrix, stats, workers, collect_footprints)
+
+        monkeypatch.setattr(MWorkerEstimator, "evaluate_worker_range", failing)
+        with pytest.raises(RuntimeError, match="chunk died"):
+            estimator.evaluate_all(matrix)
+        monkeypatch.setattr(MWorkerEstimator, "evaluate_worker_range", original)
+        assert estimator.evaluate_all(matrix) == serial

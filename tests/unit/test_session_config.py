@@ -42,6 +42,9 @@ class TestValidation:
             {"confidence": 1.5},
             {"shards": True},
             {"shards": "thread:0"},
+            # the tier-prefixed grammar is retired: N alone means N threads
+            {"shards": "thread:2"},
+            {"shards": "process:2"},
             {"maxsize": -1},
             {"snapshot_every": -1, "durable": "somewhere"},
         ],
@@ -74,7 +77,7 @@ class TestValidation:
             "auto_extend": False,
             "confidence": 0.8,
             "backend": "dense",
-            "shards": "thread:2",
+            "shards": 2,
             "durable": tmp_path,
             "snapshot_every": 2,
             "fsync": False,
@@ -162,7 +165,7 @@ class TestConfigFromArgs:
                 "--backend", "dense",
                 "--batch-size", "7",
                 "--queue-size", "33",
-                "--shards", "thread:2",
+                "--shards", "2",
                 "--durable", "state-dir",
                 "--snapshot-every", "4",
             ]
@@ -173,7 +176,7 @@ class TestConfigFromArgs:
             backend="dense",
             max_batch=7,
             maxsize=33,
-            shards="thread:2",
+            shards=2,
             durable="state-dir",
             snapshot_every=4,
         )

@@ -164,13 +164,15 @@ class TestResolveBackend:
         assert {"auto", "dense", "dict", "sparse", "bitset"} == set(BACKEND_CHOICES)
 
     def test_capability_flags(self):
-        # Every vectorized backend ships shared-state export now; only the
-        # dict path (no backend object at all) falls back serial.
+        # Every vectorized backend exports its state for durable snapshots;
+        # only the dict path (no backend object at all) has none.
+        from repro.core.agreement import BACKEND_CAPABILITIES
+
         matrix = random_matrix(10, 5, 20)
-        assert DenseAgreementBackend(matrix).supports_shared_export
-        assert BitsetAgreementBackend(matrix).supports_shared_export
+        for name in ("dense", "sparse", "bitset"):
+            assert BACKEND_CAPABILITIES[name].shared_export, name
+        assert not BACKEND_CAPABILITIES["dict"].shared_export
         assert BitsetAgreementBackend(matrix).name == "bitset"
-        assert SparseAgreementBackend.supports_shared_export
         assert SparseAgreementBackend.name == "sparse"
 
     def test_sparse_without_scipy_degrades_to_dense(self, monkeypatch):
