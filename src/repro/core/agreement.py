@@ -47,7 +47,7 @@ spec:
 ============  =============  ============  =============  ==========  ==============  =========  ==========
 backend       batch_triples  batch_lemma4  shared export  footprints  executor tiers  streaming  durability
 ============  =============  ============  =============  ==========  ==============  =========  ==========
-``dict``      no (scalar)    no (scalar)   no             observer    serial only     yes        WAL replay
+``dict``      no (scalar)    no (scalar)   no             yes         serial only     yes        WAL replay
 ``dense``     yes            yes           yes            yes         thread          yes        snapshots
 ``sparse``    yes            yes           yes            yes         thread          yes        snapshots
 ``bitset``    yes            yes           yes            yes         thread          yes        snapshots
@@ -99,16 +99,15 @@ model; see the :class:`~repro.core.m_worker.MWorkerEstimator` determinism
 contract for the size threshold and serial-fallback guards.
 
 The *footprints* column is the dependency protocol the incremental
-evaluator consumes.  On the vectorized backends ``evaluate_worker_range``
-*returns* a compact :class:`~repro.core.deps.WorkerFootprint` per worker
-(pairing scan log + formed-partner support + touch-target flag — see
-:mod:`repro.core.deps`) instead of invoking a per-read callback; footprints
-ride the shard result channel, so dependency-tracked recomputes engage the
-same executor tiers as any batch run.  The dict path records dependencies
-through the legacy per-read ``observer`` (below), which must see every
-scalar read and therefore forces serial execution — the one remaining
-observer user besides the differential suite's ledger-equivalence
-reference mode.
+evaluator consumes.  On every backend ``evaluate_worker_range`` *returns* a
+compact :class:`~repro.core.deps.WorkerFootprint` per worker (pairing scan
+log + formed-partner support + touch-target flag — see
+:mod:`repro.core.deps`), derived from the greedy scan rather than recorded
+read by read: the dict path takes it from the probe log of the reference
+:func:`~repro.core.pairing.greedy_pairs`, the vectorized backends from
+:func:`~repro.core.pairing.greedy_pairs_dense`, which logs the same probes.
+Footprints ride the shard result channel, so dependency-tracked
+recomputes engage the same executor tiers as any batch run.
 
 The *streaming* column covers the delta-update protocol the incremental
 evaluator and the async ingestion subsystem (:mod:`repro.serve`) drive:
@@ -204,21 +203,11 @@ snapshot persistence through the shared-export shapes) for free, and
 **must** register in the differential suite's path tables — including the
 ``streamed`` and ``resumed`` columns — so the bit-identity promise is
 enforced for it on every public entry point.
-
-An optional ``observer`` receives every pair key whose statistics are read.
-This is the *legacy* dependency protocol: the incremental evaluator now
-prefers the returned-footprint path of the capability matrix above
-(vectorized, shard-composable) and attaches an observer only on the dict
-backend or when ``dependency_tracking="observer"`` forces the reference
-mode.  Every execution tier defers to serial while an observer is attached
-(the recorder must see each read), which is exactly why the footprint
-protocol replaced it on the fast paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -231,9 +220,7 @@ __all__ = [
     "BACKEND_CAPABILITIES",
     "BackendCapability",
     "ESTIMATOR_PATHS",
-    "StatisticsObserver",
     "TripleCovarianceInputs",
-    "TripleStageInputs",
     "compute_agreement_statistics",
     "pair_key",
     "supported_estimator_paths",
@@ -279,7 +266,7 @@ BACKEND_CAPABILITIES: dict[str, BackendCapability] = {
         batch_triples=False,
         batch_lemma4=False,
         shared_export=False,
-        footprints=False,
+        footprints=True,
         streaming=True,
     ),
     "dense": BackendCapability(
@@ -337,9 +324,8 @@ def supported_estimator_paths(backend: str, kind: str = "binary") -> tuple[str, 
 def pair_key(a: int, b: int) -> tuple[int, int]:
     """Canonical (sorted) dictionary key for an unordered worker pair.
 
-    This is the key convention used for observer notifications; consumers
-    that index dependencies by pair (the incremental evaluator) must use the
-    same helper.
+    The statistics caches and the incremental evaluator's changed-pair sets
+    share this convention.
     """
     return (a, b) if a < b else (b, a)
 
@@ -349,20 +335,6 @@ _pair_key = pair_key
 
 def _triple_key(a: int, b: int, c: int) -> tuple[int, int, int]:
     return tuple(sorted((a, b, c)))  # type: ignore[return-value]
-
-
-class StatisticsObserver(Protocol):
-    """Receiver for statistics-dependency notifications.
-
-    ``note_pair`` fires for every pair whose counts/rates are read (a triple
-    read fires it for all three of its pairs).  ``note_bulk`` fires when a
-    vectorized bulk read touches every pair and triple among
-    ``{worker} | partners`` at once.
-    """
-
-    def note_pair(self, key: tuple[int, int]) -> None: ...
-
-    def note_bulk(self, worker: int, partners: np.ndarray) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -390,36 +362,6 @@ class TripleCovarianceInputs:
     triple_counts: np.ndarray
 
 
-@dataclass(frozen=True)
-class TripleStageInputs:
-    """Bulk statistics feeding the batched per-triple evaluation stage.
-
-    All arrays are aligned with the requested triple list: index ``t``
-    describes the triple ``(worker, partners_a[t], partners_b[t])``.  Counts
-    are float64 arrays holding exact integers (see the dense-backend module
-    docstring for why the conversion is lossless).
-
-    Attributes
-    ----------
-    common_wa, agree_wa:
-        ``c_{i,a}`` and agreement counts for the worker/first-partner pairs.
-    common_wb, agree_wb:
-        The same for the worker/second-partner pairs.
-    common_ab, agree_ab:
-        The same for the partner/partner pairs.
-    triple_counts:
-        ``c_{i,a,b}`` per triple.
-    """
-
-    common_wa: np.ndarray
-    agree_wa: np.ndarray
-    common_wb: np.ndarray
-    agree_wb: np.ndarray
-    common_ab: np.ndarray
-    agree_ab: np.ndarray
-    triple_counts: np.ndarray
-
-
 @dataclass
 class AgreementStatistics:
     """Cached agreement rates and co-attempt counts for one response matrix.
@@ -433,7 +375,6 @@ class AgreementStatistics:
 
     matrix: ResponseMatrix
     backend: AgreementBackendBase | None = field(default=None, repr=False)
-    observer: StatisticsObserver | None = field(default=None, repr=False)
     _pair_cache: dict[tuple[int, int], tuple[int, int]] = field(
         default_factory=dict, repr=False
     )
@@ -462,8 +403,6 @@ class AgreementStatistics:
         if a == b:
             raise DataValidationError("agreement requires two distinct workers")
         key = _pair_key(a, b)
-        if self.observer is not None:
-            self.observer.note_pair(key)
         if self.backend is not None:
             return self.backend.pair(*key)
         if key not in self._pair_cache:
@@ -498,12 +437,6 @@ class AgreementStatistics:
         if len({a, b, c}) != 3:
             raise DataValidationError("triple counts require three distinct workers")
         key = _triple_key(a, b, c)
-        if self.observer is not None:
-            # A triple count can only change when one of its pairs changes,
-            # so pair-level dependencies capture triple reads too.
-            self.observer.note_pair((key[0], key[1]))
-            self.observer.note_pair((key[0], key[2]))
-            self.observer.note_pair((key[1], key[2]))
         if self.backend is not None:
             return self.backend.triple_common_count(*key)
         if key not in self._triple_cache:
@@ -544,8 +477,6 @@ class AgreementStatistics:
                 "triple_covariance_inputs requires a vectorized backend; "
                 "use AgreementStatistics.precompute"
             )
-        if self.observer is not None:
-            self.observer.note_bulk(worker, partners)
         common = self.backend.common_counts
         agree = self.backend.agreement_counts
         return TripleCovarianceInputs(
@@ -559,19 +490,16 @@ class AgreementStatistics:
 
     def lemma4_inputs(
         self, worker: int, partners: np.ndarray, clamp_margin: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Pre-clamped bulk inputs for the Lemma-4 assembly, or None.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pre-clamped bulk inputs for the Lemma-4 assembly.
 
         Returns ``(common_with_worker, partner_2q_minus_1, triple_counts)``
         — the Lemma-4 term grid only ever consumes the partner rates through
         ``2 q - 1``, so that matrix is gathered pre-computed from the
-        backend's batch-level cache.  ``None`` when the fast form is
-        unavailable (no dense backend, or an observer needs per-read
-        dependency records) — callers then fall back to
-        :meth:`triple_covariance_inputs`.  Values are identical either way.
+        backend's batch-level cache.  Values are identical to the inline
+        computation over :meth:`triple_covariance_inputs`.  Requires a
+        vectorized backend.
         """
-        if self.backend is None or self.observer is not None:
-            return None
         _, two_q_minus_1, _ = self.backend.clamped_rate_data(clamp_margin)
         return (
             self.backend.common_counts_f64[worker, partners],
@@ -581,18 +509,15 @@ class AgreementStatistics:
 
     def lemma4_group_inputs(
         self, clamp_margin: float
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Whole-matrix inputs for the grouped Lemma-4 aggregation, or None.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Whole-matrix inputs for the grouped Lemma-4 aggregation.
 
         Returns ``(common_counts_f64, partner_2q_minus_1)`` — the full
         ``(m, m)`` pair-count and pre-clamped ``2q - 1`` matrices the
         grouped fast path slices per worker (triple counts come from
-        :meth:`DenseAgreementBackend.triple_count_grid_full`).  ``None``
-        under the same conditions as :meth:`lemma4_inputs` (no dense
-        backend, or an observer needs per-read dependency records).
+        :meth:`DenseAgreementBackend.triple_count_grid_full`).  Requires a
+        vectorized backend.
         """
-        if self.backend is None or self.observer is not None:
-            return None
         _, two_q_minus_1, _ = self.backend.clamped_rate_data(clamp_margin)
         return (self.backend.common_counts_f64, two_q_minus_1)
 
@@ -602,7 +527,7 @@ class AgreementStatistics:
         partners_a: np.ndarray,
         partners_b: np.ndarray,
         clamp_margin: float,
-    ) -> tuple[np.ndarray, ...] | None:
+    ) -> tuple[np.ndarray, ...]:
         """Pre-clamped per-triple vectors for the batched triple stage.
 
         Returns ``(c_1, c_2, c_3, q_1, q_2, q_3, t_1, t_2, t_3, cl_1, cl_2,
@@ -611,12 +536,8 @@ class AgreementStatistics:
         partner/partner pairs, plus triple counts — gathered from the
         backend's batch-level caches.  ``worker`` may be a scalar id or an
         array aligned with the partner arrays (the cross-worker batch).
-        ``None`` when unavailable (no dense backend, or an observer needs
-        per-read records); callers fall back to
-        :meth:`triple_stage_inputs` and compute the same values inline.
+        Requires a vectorized backend.
         """
-        if self.backend is None or self.observer is not None:
-            return None
         rates, two_q, flags = self.backend.clamped_rate_data(clamp_margin)
         common = self.backend.common_counts_f64
         return (
@@ -633,42 +554,6 @@ class AgreementStatistics:
             flags[worker, partners_b],
             flags[partners_a, partners_b],
             self.backend.triple_common_counts(
-                worker, partners_a, partners_b
-            ).astype(np.float64),
-        )
-
-    def triple_stage_inputs(
-        self, worker: int, partners_a: np.ndarray, partners_b: np.ndarray
-    ) -> TripleStageInputs:
-        """Bulk counts for evaluating ``worker`` inside a batch of triples.
-
-        Pair counts are sliced straight from the backend's precomputed
-        matrices and the triple counts come from one vectorized
-        bitset-popcount pass.  Requires a vectorized backend (any
-        :class:`~repro.data.dense_backend.AgreementBackendBase`).  The
-        observer is notified with the union of touched workers (a superset
-        of the pairs the scalar loop would record — conservative, never
-        stale).
-        """
-        if self.backend is None:
-            raise DataValidationError(
-                "triple_stage_inputs requires a vectorized backend; "
-                "use AgreementStatistics.precompute"
-            )
-        if self.observer is not None:
-            self.observer.note_bulk(
-                worker, np.concatenate([partners_a, partners_b])
-            )
-        common = self.backend.common_counts
-        agree = self.backend.agreement_counts
-        return TripleStageInputs(
-            common_wa=common[worker, partners_a].astype(np.float64),
-            agree_wa=agree[worker, partners_a].astype(np.float64),
-            common_wb=common[worker, partners_b].astype(np.float64),
-            agree_wb=agree[worker, partners_b].astype(np.float64),
-            common_ab=common[partners_a, partners_b].astype(np.float64),
-            agree_ab=agree[partners_a, partners_b].astype(np.float64),
-            triple_counts=self.backend.triple_common_counts(
                 worker, partners_a, partners_b
             ).astype(np.float64),
         )

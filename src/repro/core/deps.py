@@ -2,28 +2,24 @@
 
 The streaming evaluator (:class:`~repro.core.incremental.IncrementalEvaluator`)
 must know which cached per-worker estimates a batch of responses invalidates.
-Historically that knowledge came from a per-read ``observer`` callback on
-:class:`~repro.core.agreement.AgreementStatistics`: every scalar statistic
-read during an estimate was recorded into Python sets, which taxed the hot
-path and forced every parallel execution tier to fall back to serial while an
-observer was attached (the tracker had to see each read).
-
-This module replaces that protocol with *footprints*: the evaluation path
-returns, per worker, a compact summary of the statistics it read —
-derived analytically from the array operations it actually executed, not
-observed one scalar at a time.  A footprint is three pieces of data:
+This module answers that with *footprints*: the evaluation path returns,
+per worker, a compact summary of the statistics it read — derived
+analytically from the pairing scan and the formed triples, not observed one
+scalar at a time, so it is the same on every backend (the dict backend's
+scalar path included) and on every execution tier.  A footprint is three
+pieces of data:
 
 ``touch_target``
     The greedy pairing pass reads the common count between the evaluated
     worker and **every** candidate (the usability filter and the stable sort
     both inspect all of them), so any changed pair with the evaluated worker
     as an endpoint invalidates the estimate.  One flag replaces ``m - 1``
-    recorded pairs.  This flag also closes a growth hole the per-read
-    observer had: a worker that joins *after* ``w`` was cached was never a
-    candidate during ``w``'s evaluation, so the pair ``(w, new)`` was never
-    recorded — yet the newcomer's first overlapping response changes the
-    candidate list a fresh run would see.  An endpoint test does not care
-    when the other worker joined.
+    recorded pairs.  The flag also covers growth: a worker that joins
+    *after* ``w`` was cached was never a candidate during ``w``'s
+    evaluation, so the pair ``(w, new)`` was never read — yet the
+    newcomer's first overlapping response changes the candidate list a
+    fresh run would see.  An endpoint test does not care when the other
+    worker joined.
 
 ``pairs``
     The greedy scan probes overlaps between *candidates* while assembling
@@ -34,10 +30,10 @@ observed one scalar at a time.  A footprint is three pieces of data:
 
 ``support``
     The triple stage and the Lemma-4 covariance assembly read pair and
-    triple statistics among ``{w} | partners`` wholesale (vectorized
-    gathers).  Bulk reads are summarized as a *support set* of worker ids: a
-    changed pair invalidates the estimate when both endpoints lie in the
-    support.  Partners of triples later dropped as unusable are included —
+    triple statistics among ``{w} | partners`` only (vectorized gathers,
+    or the dict path's scalar reads).  Those reads are summarized as a
+    *support set* of worker ids: a changed pair invalidates the estimate
+    when both endpoints lie in the support.  Partners of triples later dropped as unusable are included —
     the stage inputs were gathered before usability was decided.
 
 The ledger aggregates footprints across cached workers into flat NumPy
@@ -48,11 +44,6 @@ so they serialize into durable snapshots (see
 :meth:`~repro.core.incremental.IncrementalEvaluator.export_state`) and
 merge across the thread chunks of :mod:`repro.core.parallel` in worker
 order.
-
-:class:`ObserverDependencyTracker` — the per-read observer — is retained
-for the dict backend (whose scalar evaluation path has no array ops to
-derive a footprint from) and as the reference implementation the
-differential suite checks ledger decisions against.
 """
 
 from __future__ import annotations
@@ -67,7 +58,6 @@ __all__ = [
     "encode_pair_ids",
     "WorkerFootprint",
     "DependencyLedger",
-    "ObserverDependencyTracker",
 ]
 
 # Pair (a, b) with a < b is encoded as the int64 ``a << PAIR_ID_SHIFT | b``.
@@ -343,99 +333,3 @@ class DependencyLedger:
             )
         return self
 
-
-class ObserverDependencyTracker:
-    """Per-read dependency recorder (the legacy observer protocol).
-
-    Records which pair statistics each cached estimate depended on, one
-    :meth:`note_pair` / :meth:`note_bulk` callback at a time, via the
-    ``observer`` hook of :class:`~repro.core.agreement.AgreementStatistics`.
-    Retained for the dict backend — whose scalar evaluation path has no
-    array ops to derive a footprint from — and as the reference
-    implementation the ledger's decisions are differentially tested
-    against.
-
-    Fine-grained reads (``note_pair``) are indexed per pair key; vectorized
-    bulk reads (``note_bulk``), which touch every pair among the evaluated
-    worker and its partners at once, are summarized as a *support set* of
-    worker ids — a changed pair invalidates the estimate when both endpoints
-    lie in the support.  Reverse indexes make the invalidation lookup
-    O(readers of the changed pair) instead of O(cached workers).
-
-    :meth:`readers_of` additionally applies the ledger's endpoint rule: a
-    changed pair invalidates a recorded worker that is one of its
-    endpoints, whether or not that exact pair was read.  The pairing pass
-    reads the target against every *current* candidate, so the recorded
-    pair set is complete only for workers that existed at evaluation time —
-    without the endpoint rule, a worker joining later could change the
-    candidate list without invalidating the stale cache (a bug the scalar
-    tracker shipped with, caught while differential-testing the ledger).
-    """
-
-    def __init__(self) -> None:
-        self._target: int | None = None
-        self._pair_deps: dict[int, set[tuple[int, int]]] = {}
-        self._supports: dict[int, set[int]] = {}
-        self._pair_readers: dict[tuple[int, int], set[int]] = {}
-        self._support_members: dict[int, set[int]] = {}
-
-    def begin(self, worker: int) -> None:
-        """Start recording reads on behalf of ``worker``'s estimate."""
-        self.forget(worker)
-        self._target = worker
-        self._pair_deps[worker] = set()
-        self._supports[worker] = {worker}
-        self._support_members.setdefault(worker, set()).add(worker)
-
-    def finish(self) -> None:
-        self._target = None
-
-    def forget(self, worker: int) -> None:
-        """Drop ``worker``'s recorded dependencies (before re-estimating)."""
-        for key in self._pair_deps.pop(worker, ()):
-            readers = self._pair_readers.get(key)
-            if readers is not None:
-                readers.discard(worker)
-                if not readers:
-                    del self._pair_readers[key]
-        for member in self._supports.pop(worker, ()):
-            members = self._support_members.get(member)
-            if members is not None:
-                members.discard(worker)
-                if not members:
-                    del self._support_members[member]
-
-    # -- AgreementStatistics observer protocol ------------------------- #
-
-    def note_pair(self, key: tuple[int, int]) -> None:
-        if self._target is None:
-            return
-        deps = self._pair_deps[self._target]
-        if key not in deps:
-            deps.add(key)
-            self._pair_readers.setdefault(key, set()).add(self._target)
-
-    def note_bulk(self, worker: int, partners: np.ndarray) -> None:
-        if self._target is None:
-            return
-        support = self._supports[self._target]
-        for member in (worker, *(int(p) for p in partners)):
-            if member not in support:
-                support.add(member)
-                self._support_members.setdefault(member, set()).add(self._target)
-
-    # -- invalidation --------------------------------------------------- #
-
-    def readers_of(self, key: tuple[int, int]) -> set[int]:
-        """Recorded workers whose estimate the changed pair ``key`` invalidates."""
-        affected = set(self._pair_readers.get(key, ()))
-        # Endpoint rule (see class docstring): pairing reads the target
-        # against every current candidate, so a changed pair always
-        # invalidates a recorded endpoint.
-        affected.update(k for k in key if k in self._pair_deps)
-        a, b = key
-        in_a = self._support_members.get(a)
-        in_b = self._support_members.get(b)
-        if in_a and in_b:
-            affected |= in_a & in_b
-        return affected

@@ -41,18 +41,19 @@ precisely the cached estimates whose footprints intersect the changed
 pairs, preserving the "identical to batch" guarantee while letting
 unrelated cached intervals survive.
 
-Footprints are recorded on **every** execution tier — the batched serial
-path and the thread shards return their per-chunk dependency logs with
-the estimates (see
-:func:`~repro.core.parallel.evaluate_worker_subset`) — so incremental
-recomputes honour ``shards=`` like any batch run.  The remaining serial
-fallbacks are the documented ones: the dict backend (whose scalar path
-still records dependencies through the legacy per-read observer,
-:class:`~repro.core.deps.ObserverDependencyTracker`), a custom ``rng``,
-and fewer dirty workers than shards.  The ledger is durable: it is
-persisted by :meth:`IncrementalEvaluator.export_state` together with the
-clean cached estimates, so a resumed session serves warm caches without
-recomputing untouched workers.
+Footprints are recorded on **every** backend and execution tier — the
+dict backend's scalar path derives them from the probe log of the
+reference :func:`~repro.core.pairing.greedy_pairs` scan, and the batched
+serial path and the thread shards return their per-chunk dependency logs
+with the estimates (see
+:func:`~repro.core.parallel.evaluate_worker_subset`) — so the ledger is
+the one dependency tracker, and incremental recomputes honour ``shards=``
+like any batch run.  The serial fallbacks are the documented ones: the
+dict backend (no arrays to chunk) and fewer dirty workers than shards.
+The ledger is durable: it is persisted by
+:meth:`IncrementalEvaluator.export_state` together with the clean cached
+estimates, so a resumed session serves warm caches without recomputing
+untouched workers, on every backend.
 
 Delta-updated statistics
 ------------------------
@@ -96,11 +97,7 @@ from repro.exceptions import (
     InsufficientDataError,
 )
 from repro.core.agreement import AgreementStatistics, pair_key
-from repro.core.deps import (
-    DependencyLedger,
-    ObserverDependencyTracker,
-    WorkerFootprint,
-)
+from repro.core.deps import DependencyLedger
 from repro.core.m_worker import MWorkerEstimator
 from repro.data.dense_backend import (
     AgreementBackendBase,
@@ -200,15 +197,8 @@ class IncrementalEvaluator:
         footprints returned alongside the estimates, so ``N > 1`` and
         ``"auto"`` engage threads exactly as they do for a batch
         ``evaluate_all`` — no silent serial degradation.  The
-        documented serial fallbacks are the dict backend (scalar path, the
-        legacy per-read observer), a custom rng, and fewer dirty workers
-        than shards.
-    dependency_tracking:
-        ``"auto"`` (default) uses the vectorized dependency ledger on the
-        vectorized backends and the per-read observer on the dict path;
-        ``"observer"`` forces the legacy observer everywhere (serial
-        recomputes) — the reference mode the differential suite checks
-        ledger invalidation decisions against.
+        documented serial fallbacks are the dict backend (scalar path, no
+        arrays to chunk) and fewer dirty workers than shards.
 
     Notes
     -----
@@ -228,17 +218,11 @@ class IncrementalEvaluator:
         optimize_weights: bool = True,
         backend: str = "auto",
         shards: int | str = 1,
-        dependency_tracking: str = "auto",
     ) -> None:
         if n_workers < 3:
             raise ConfigurationError(
                 "incremental evaluation needs at least 3 workers to ever produce "
                 "an estimate"
-            )
-        if dependency_tracking not in ("auto", "observer"):
-            raise ConfigurationError(
-                "dependency_tracking must be 'auto' or 'observer', got "
-                f"{dependency_tracking!r}"
             )
         self._matrix = ResponseMatrix(n_workers=n_workers, n_tasks=n_tasks, arity=2)
         self._estimator = MWorkerEstimator(
@@ -251,8 +235,6 @@ class IncrementalEvaluator:
         self._backend: AgreementBackendBase | None = resolve_backend(
             self._matrix, backend
         )
-        self._dependency_tracking = dependency_tracking
-        self._tracker = ObserverDependencyTracker()
         self._ledger = DependencyLedger()
         self._cache: dict[int, WorkerErrorEstimate] = {}
         self._dirty: set[int] = set(range(n_workers))
@@ -489,12 +471,11 @@ class IncrementalEvaluator:
         together with the ledger itself (``deps.*`` arrays), so a resumed
         session serves warm intervals for untouched workers with zero
         recomputation — float64 round-trips exactly, making restored
-        estimates bit-identical to the ones exported.  Workers tracked by
-        the legacy observer (dict-backend recomputes) restore cold; they
-        are recomputed deterministically from the counts, so omitting them
-        cannot change a served interval (only when it is recomputed).
-        Exporting materializes the backend's lazy caches as a side effect
-        (see
+        estimates bit-identical to the ones exported.  Every backend
+        records footprints, so dict-backed evaluators restore warm too (the
+        dict path has no ``backend.*`` arrays; its counts are re-derived
+        from the restored matrix).  Exporting materializes the backend's
+        lazy caches as a side effect (see
         :meth:`~repro.data.dense_backend.AgreementBackendBase.export_shared_state`).
         """
         matrix = self._matrix
@@ -614,7 +595,6 @@ class IncrementalEvaluator:
         optimize_weights: bool | None = None,
         backend: str | None = None,
         shards: int | str = 1,
-        dependency_tracking: str = "auto",
     ) -> "IncrementalEvaluator":
         """Rebuild an evaluator from :meth:`export_state` output.
 
@@ -628,9 +608,9 @@ class IncrementalEvaluator:
         effective configuration matches the persisted one, the dependency
         ledger and the clean cached estimates are restored warm —
         untouched workers are served with zero recomputation,
-        bit-identical to the exported intervals.  Otherwise (dict backend,
-        changed ``confidence``/``optimize_weights``, forced observer mode,
-        or an old snapshot) caches start cold and are recomputed on
+        bit-identical to the exported intervals, on every backend.
+        Otherwise (changed ``confidence``/``optimize_weights``, or an old
+        snapshot) caches start cold and are recomputed on
         demand, bit-identical to an uninterrupted evaluator by the
         determinism contract.  ``confidence`` / ``optimize_weights`` /
         ``backend`` default to the persisted configuration; passing a
@@ -685,13 +665,6 @@ class IncrementalEvaluator:
                 n_tasks=n_tasks,
                 arity=arity,
             )
-        if dependency_tracking not in ("auto", "observer"):
-            raise ConfigurationError(
-                "dependency_tracking must be 'auto' or 'observer', got "
-                f"{dependency_tracking!r}"
-            )
-        self._dependency_tracking = dependency_tracking
-        self._tracker = ObserverDependencyTracker()
         self._ledger = DependencyLedger()
         self._cache = {}
         self._dirty = set(range(n_workers))
@@ -699,8 +672,7 @@ class IncrementalEvaluator:
         self._backend_rebuilds = int(meta["backend_rebuilds"])
         self._recompute_count = 0
         if (
-            self._use_ledger()
-            and "deps.workers" in arrays
+            "deps.workers" in arrays
             and "cache.workers" in arrays
             and confidence == float(meta["confidence"])
             and optimize_weights == bool(meta["optimize_weights"])
@@ -767,87 +739,41 @@ class IncrementalEvaluator:
 
     def _invalidate(self, worker: int) -> None:
         self._dirty.add(worker)
-        self._tracker.forget(worker)
         self._ledger.forget(worker)
 
     def _readers_of(self, changed_pairs) -> set[int]:
-        """Cached-estimate owners whose recorded reads touch the pairs.
-
-        Consults both dependency structures: a cached worker lives in the
-        ledger when its last recompute took the footprint path and in the
-        observer tracker when it took the scalar dict path, so the union is
-        exact whichever mix of paths produced the current caches (e.g.
-        across a mid-stream dict-to-dense backend flip).
-        """
-        changed_pairs = list(changed_pairs)
-        if not changed_pairs:
-            return set()
-        readers = self._ledger.invalidated(changed_pairs)
-        for key in changed_pairs:
-            readers |= self._tracker.readers_of(key)
-        return readers
+        """Cached-estimate owners whose recorded footprints touch the pairs."""
+        return self._ledger.invalidated(changed_pairs)
 
     # ------------------------------------------------------------------ #
     # Estimation
     # ------------------------------------------------------------------ #
 
-    def _use_ledger(self) -> bool:
-        """Whether recomputes take the footprint path (vs the observer).
-
-        The footprint protocol needs the greedy pairing strategy without a
-        custom rng and a vectorized backend; ``dependency_tracking=
-        "observer"`` forces the legacy path for reference runs.
-        """
-        return (
-            self._dependency_tracking == "auto"
-            and self._backend is not None
-            and self._estimator.pairing_strategy == "greedy"
-            and self._estimator.rng is None
-        )
-
     def _recompute_many(self, workers: list[int]) -> None:
-        """Re-evaluate ``workers``, recording each estimate's dependencies.
+        """Re-evaluate ``workers``, recording each estimate's footprint.
 
-        Ledger mode: one :func:`~repro.core.parallel.evaluate_worker_subset`
-        call, which honours the estimator's ``shards=`` spec (footprints
-        come back with each chunk's estimates, merged in worker order).
-        Observer mode: the legacy serial loop under the per-read observer.
+        One :func:`~repro.core.parallel.evaluate_worker_subset` call, which
+        honours the estimator's ``shards=`` spec (footprints come back with
+        each chunk's estimates, merged in worker order).  The estimator is
+        this class's own greedy, rng-free one, so footprint collection
+        always applies.
         """
         if not workers:
             return
         self._recompute_count += len(workers)
-        if self._use_ledger():
-            from repro.core.parallel import evaluate_worker_subset
+        from repro.core.parallel import evaluate_worker_subset
 
-            stats = AgreementStatistics(
-                matrix=self._matrix, backend=self._backend
-            )
-            estimates, footprints = evaluate_worker_subset(
-                self._estimator,
-                self._matrix,
-                stats,
-                list(workers),
-                collect_footprints=True,
-            )
-            for worker, estimate, footprint in zip(
-                workers, estimates, footprints
-            ):
-                self._cache[worker] = estimate
-                self._ledger.record(worker, footprint)
-                self._dirty.discard(worker)
-            return
-        stats = AgreementStatistics(
-            matrix=self._matrix, backend=self._backend, observer=self._tracker
+        stats = AgreementStatistics(matrix=self._matrix, backend=self._backend)
+        estimates, footprints = evaluate_worker_subset(
+            self._estimator,
+            self._matrix,
+            stats,
+            list(workers),
+            collect_footprints=True,
         )
-        for worker in workers:
-            self._tracker.begin(worker)
-            try:
-                estimate = self._estimator.evaluate_worker(
-                    self._matrix, worker, stats=stats
-                )
-            finally:
-                self._tracker.finish()
+        for worker, estimate, footprint in zip(workers, estimates, footprints):
             self._cache[worker] = estimate
+            self._ledger.record(worker, footprint)
             self._dirty.discard(worker)
 
     @property
@@ -901,8 +827,7 @@ class IncrementalEvaluator:
 
         Workers with unchanged dependencies are served from the cache; the
         rest are recomputed in one bulk pass sharing a single
-        agreement-statistics object (sharded per the ``shards=`` spec in
-        ledger mode).
+        agreement-statistics object (sharded per the ``shards=`` spec).
         """
         to_recompute = [
             worker

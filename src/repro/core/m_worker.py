@@ -179,11 +179,10 @@ def _vectorized_cross_covariances(
     first_partners = [t.partners[0] for t in triple_estimates]
     second_partners = [t.partners[1] for t in triple_estimates]
     partners = np.asarray(first_partners + second_partners, dtype=np.int64)
-    fast_inputs = (
-        stats.lemma4_inputs(worker, partners, clamp_margin) if fast_counts else None
-    )
-    if fast_inputs is not None:
-        c_with_worker, two_q_minus_1, c_triple = fast_inputs
+    if fast_counts:
+        c_with_worker, two_q_minus_1, c_triple = stats.lemma4_inputs(
+            worker, partners, clamp_margin
+        )
     else:
         inputs = stats.triple_covariance_inputs(worker, partners)
         c_triple = inputs.triple_counts
@@ -373,14 +372,12 @@ class MWorkerEstimator:
     sharding cannot help: no vectorized backend (the dict path), fewer
     workers than shards, a custom ``rng`` (the random pairing strategy
     consumes the generator sequentially across workers, which no pool can
-    replicate), or an attached statistics observer (the legacy per-read
-    dependency recorder must see every read; the incremental evaluator no
-    longer attaches one on vectorized backends — it consumes the
-    footprints :meth:`evaluate_worker_range` returns instead, so its
-    recomputes shard like any batch run).  The batching knobs need no such
-    fallback: ``batch_triples`` and ``batch_lemma4`` compose with every
-    vectorized backend (see the capability matrix in
-    :mod:`repro.core.agreement`).
+    replicate), or non-binary data.  Dependency tracking forces no
+    fallback: the incremental evaluator consumes the footprints
+    :meth:`evaluate_worker_range` returns, so its recomputes shard like any
+    batch run.  The batching knobs need no fallback either:
+    ``batch_triples`` and ``batch_lemma4`` compose with every vectorized
+    backend (see the capability matrix in :mod:`repro.core.agreement`).
     """
 
     confidence: float = 0.95
@@ -445,8 +442,8 @@ class MWorkerEstimator:
         When ``footprint_sink`` is given, a
         :class:`~repro.core.deps.WorkerFootprint` summarizing every
         statistic the evaluation reads is appended (greedy pairing only) —
-        derived from the pairing scan log and the formed partners, not from
-        per-read callbacks, so it works on every fast path.
+        derived from the pairing scan log and the formed partners, so it
+        works on every backend and fast path.
         """
         candidates = [w for w in range(matrix.n_workers) if w != worker]
         probe_log: list[tuple[int, int]] | None = (
@@ -614,9 +611,9 @@ class MWorkerEstimator:
         :class:`~repro.core.deps.WorkerFootprint` per worker, aligned with
         ``workers``, summarizing the statistics each estimate read.  This
         is the footprint protocol the incremental evaluator's dependency
-        ledger consumes — it replaces the per-read ``observer`` callback,
-        works on every execution path (batched and thread-sharded), and
-        requires the greedy pairing strategy.
+        ledger consumes — it works on every backend and execution path
+        (scalar dict, batched and thread-sharded), and requires the greedy
+        pairing strategy.
         """
         if collect_footprints and (
             self.pairing_strategy != "greedy" or self.rng is not None
@@ -628,7 +625,6 @@ class MWorkerEstimator:
         if (
             self.batch_triples
             and stats.has_dense_backend
-            and stats.observer is None
             and matrix.is_binary
             and matrix.n_workers >= 3
         ):
@@ -853,13 +849,9 @@ class MWorkerEstimator:
                     )
                 )
             return results
-        inputs = stats.lemma4_group_inputs(self.clamp_margin)
-        if inputs is None:  # pragma: no cover - guarded by callers
-            return [
-                self._finalize_worker(matrix, stats, worker, triples, status)
-                for worker, triples, status, _ in group
-            ]
-        common_f64, two_q_minus_1 = inputs
+        common_f64, two_q_minus_1 = stats.lemma4_group_inputs(
+            self.clamp_margin
+        )
         backend = stats.backend
         g = len(group)
         values = np.empty((g, n))

@@ -84,8 +84,8 @@ def greedy_pairs_dense(
     the batch-evaluation profile.  ``probe_log`` records the same partner
     scan probes, in the same order, as the reference implementation logs —
     the dependency footprints derived from either variant are identical,
-    which is what lets the incremental evaluator use this fast path instead
-    of the per-read observer (see :mod:`repro.core.deps`).
+    so the dict backend's ledger and a vectorized backend's ledger make the
+    same invalidation decisions (see :mod:`repro.core.deps`).
     """
     if target in candidates:
         raise ConfigurationError("the evaluated worker cannot be its own partner")
@@ -171,9 +171,9 @@ def form_triples(
         Minimum number of common tasks required between every pair inside a
         triple.
     accelerate:
-        Permit :func:`greedy_pairs_dense` when the statistics carry a dense
-        backend and no observer (identical pairs, array reads instead of
-        per-pair calls).  Ignored for the random strategy.
+        Permit :func:`greedy_pairs_dense` when the statistics carry a
+        vectorized backend (identical pairs and probe log, array reads
+        instead of per-pair calls).  Ignored for the random strategy.
     probe_log:
         Collect the pairing scan's candidate-vs-candidate overlap probes
         (for dependency footprints; greedy strategy only — the random
@@ -184,7 +184,7 @@ def form_triples(
     list of triples ``(target, partner_a, partner_b)``.
     """
     if strategy == "greedy":
-        if accelerate and stats.has_dense_backend and stats.observer is None:
+        if accelerate and stats.has_dense_backend:
             pairs = greedy_pairs_dense(
                 stats.backend.common_counts,
                 target,

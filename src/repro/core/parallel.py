@@ -41,8 +41,8 @@ The thread tier can additionally return per-chunk **dependency footprints**
 (:mod:`repro.core.deps`) alongside the estimates (``collect_footprints=``),
 merged in worker order like the estimates — which is what lets the
 incremental evaluator's recomputes run sharded via
-:func:`evaluate_worker_subset` instead of falling back to serial under the
-legacy per-read observer.
+:func:`evaluate_worker_subset`, with the same dependency records the
+serial path would return.
 """
 
 from __future__ import annotations
@@ -172,11 +172,8 @@ def resolve_execution(
     Beyond the spec itself the guards force serial whenever the determinism
     contract cannot hold or parallelism cannot help: a custom ``rng``
     (sequential generator consumption cannot be replicated across shards),
-    an attached statistics observer (the legacy per-read recorder must see
-    every read — only the dict backend and the differential suite's
-    reference path still attach one; ledger footprints shard freely), the
-    dict path (no vectorized backend to chunk), non-binary data and fewer
-    workers than shards.
+    the dict path (no vectorized backend to chunk), non-binary data and
+    fewer workers than shards.  Dependency footprints shard freely.
     """
     tier, shards = parse_shard_spec(estimator.shards)
     if tier == "auto":
@@ -186,7 +183,6 @@ def resolve_execution(
     if (
         tier == "serial"
         or estimator.rng is not None
-        or stats.observer is not None
         or not stats.has_dense_backend
         or not matrix.is_binary
         or matrix.n_workers < shards

@@ -358,8 +358,10 @@ def evaluate_triples_batched_arrays(
     ``worker`` may be a single id (all triples evaluate that worker) or an
     array aligned with ``pairs`` — the cross-worker form in which
     ``MWorkerEstimator.evaluate_all`` concatenates every worker's triples
-    into one stage invocation.  The cross-worker form requires the fast
-    cached inputs (a vectorized backend, no observer).
+    into one stage invocation.  Both forms gather pre-clamped rates,
+    ``2q - 1`` terms and clamp flags from the backend's batch-level caches
+    (:meth:`~repro.core.agreement.AgreementStatistics.triple_stage_inputs_fast`),
+    so a vectorized backend is required.
     """
     if not stats.has_dense_backend:
         raise ConfigurationError(
@@ -394,48 +396,15 @@ def evaluate_triples_batched_arrays(
                 raise ConfigurationError(
                     "a triple requires three distinct workers"
                 )
-    fast_inputs = stats.triple_stage_inputs_fast(
+    (
+        c_1, c_2, c_3,
+        q_1, q_2, q_3,
+        t_1, t_2, t_3,
+        clamped_1, clamped_2, clamped_3,
+        c_t,
+    ) = stats.triple_stage_inputs_fast(
         worker, partners_a, partners_b, clamp_margin
     )
-    if fast_inputs is None and multi_worker:
-        raise ConfigurationError(
-            "the cross-worker batch requires the cached fast inputs "
-            "(dense backend without an observer)"
-        )
-    if fast_inputs is not None:
-        # Rates, 2q-1 terms and clamp flags gathered from the batch-level
-        # caches (identical values to the inline computation below).
-        (
-            c_1, c_2, c_3,
-            q_1, q_2, q_3,
-            t_1, t_2, t_3,
-            clamped_1, clamped_2, clamped_3,
-            c_t,
-        ) = fast_inputs
-    else:
-        inputs = stats.triple_stage_inputs(worker, partners_a, partners_b)
-        c_1, c_2, c_3 = inputs.common_wa, inputs.common_wb, inputs.common_ab
-        c_t = inputs.triple_counts
-        lower = 0.5 + clamp_margin
-
-        def clamp(
-            agreements: np.ndarray, common: np.ndarray
-        ) -> tuple[np.ndarray, np.ndarray]:
-            # Elementwise replica of clamp_agreement's two sequential guards.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = agreements / common
-            over = q > 1.0
-            q = np.where(over, 1.0, q)
-            under = q < lower
-            q = np.where(under, lower, q)
-            return q, over | under
-
-        q_1, clamped_1 = clamp(inputs.agree_wa, c_1)
-        q_2, clamped_2 = clamp(inputs.agree_wb, c_2)
-        q_3, clamped_3 = clamp(inputs.agree_ab, c_3)
-        t_1 = 2.0 * q_1 - 1.0
-        t_2 = 2.0 * q_2 - 1.0
-        t_3 = 2.0 * q_3 - 1.0
     usable = (c_1 > 0) & (c_2 > 0) & (c_3 > 0)
     clamped = clamped_1 | clamped_2 | clamped_3
 

@@ -48,13 +48,13 @@ evaluator uses to keep the cached count matrices in sync with a response
 stream without rebuilding; the bitset and sparse backends implement the
 same method against their packed planes.
 
-Every vectorized backend is *footprint-capable*: because the pairing fast
-path reads straight from the cached count matrices
+Every vectorized backend is *footprint-capable*: the pairing fast path
+reads straight from the cached count matrices
 (:func:`~repro.core.pairing.greedy_pairs_dense` replicates the reference
-scan step for step), an evaluation's dependency footprint can be derived
-analytically from the scan log instead of from per-read callbacks, which
-is what lets the incremental evaluator's recomputes shard on these
-backends (see :mod:`repro.core.deps` and the capability matrix in
+scan step for step, probe log included), so an evaluation's dependency
+footprint is the one the dict path derives from the reference scan, and
+the incremental evaluator's recomputes shard on these backends (see
+:mod:`repro.core.deps` and the capability matrix in
 :mod:`repro.core.agreement`).
 """
 

@@ -389,9 +389,10 @@ def test_streamed_microbatch_interleavings_bit_identical(seed):
 # --------------------------------------------------------------------------- #
 
 #: Backends of the ``streamed-sharded`` column.  The vectorized three run
-#: their incremental recomputes through the execution tiers (dependency
-#: footprints ship back per shard); "dict" rides along to pin the documented
-#: observer fallback under a non-serial ``shards=`` spec.
+#: their incremental recomputes through the thread tier (dependency
+#: footprints ship back per shard); "dict" rides along to pin its documented
+#: serial fallback under a non-serial ``shards=`` spec, with footprints from
+#: the scalar greedy scan.
 STREAMED_SHARDED_BACKENDS = ["dict", "dense", "sparse", "bitset"]
 
 
@@ -402,9 +403,12 @@ def test_streamed_sharded_sessions_bit_identical(seed):
     incremental recomputes run on two threads (``shards=2``), on all four
     backends — estimates must equal the from-scratch dict batch build bit
     for bit.  A second leg replays the same stream with deterministic
-    chopping through a ledger-mode and an observer-mode evaluator side by
-    side and asserts the dependency ledger makes *identical invalidation
-    decisions* to the legacy per-read observer, batch by batch."""
+    chopping through one evaluator per backend side by side: the vectorized
+    ledgers (footprints from ``greedy_pairs_dense``, recomputes on two
+    threads) must make *identical invalidation decisions* to the dict
+    ledger (footprints from the scalar ``greedy_pairs`` probe log), batch
+    by batch, and every cached estimate any of them would serve must equal
+    a fresh dict batch build over the accumulated responses."""
     import asyncio
 
     from repro.serve import SessionConfig, open_session
@@ -460,38 +464,52 @@ def test_streamed_sharded_sessions_bit_identical(seed):
                 ref, streamed[worker], f"streamed-sharded-{backend}"
             )
 
-    # Ledger-equivalence leg: identical invalidation decisions, per batch.
-    # Both evaluators start at the minimal dimensions and grow with the
-    # stream, so the equivalence also covers worker/task growth (where the
+    # Ledger-equivalence leg: identical invalidation decisions, per batch,
+    # against the dict reference, plus soundness of every served cache.
+    # The evaluators start at the minimal dimensions and grow with the
+    # stream, so the check also covers worker/task growth (where the
     # endpoint rule is what keeps a pre-growth cache from going stale).
-    ledger_mode = IncrementalEvaluator(
-        3, 1, confidence=0.95, backend="dense", shards=shards
-    )
-    observer_mode = IncrementalEvaluator(
-        3, 1, confidence=0.95, backend="dense",
-        dependency_tracking="observer",
-    )
-    assert ledger_mode._use_ledger() and not observer_mode._use_ledger()
+    evaluators = {
+        backend: IncrementalEvaluator(
+            3, 1, confidence=0.95, backend=backend, shards=shards
+        )
+        for backend in STREAMED_SHARDED_BACKENDS
+    }
+    oracle = MWorkerEstimator(confidence=0.95, backend="dict")
     for index, start in enumerate(range(0, len(records), max_batch)):
         batch = records[start : start + max_batch]
-        ledger_stats = ledger_mode.apply_batch(batch)
-        observer_stats = observer_mode.apply_batch(batch)
-        assert ledger_stats.invalidated == observer_stats.invalidated, (
-            f"seed {seed} batch {index}: ledger invalidation diverged from "
-            "the observer reference"
-        )
-        assert (
-            ledger_stats.cached_invalidated
-            == observer_stats.cached_invalidated
-        ), f"seed {seed} batch {index}"
-        if index % 3 == seed % 3:  # warm both caches at the same boundaries
-            via_ledger = ledger_mode.estimate_all()
-            via_observer = observer_mode.estimate_all()
-            assert set(via_ledger) == set(via_observer)
-            for worker, estimate in via_observer.items():
+        batch_stats = {
+            backend: evaluator.apply_batch(batch)
+            for backend, evaluator in evaluators.items()
+        }
+        reference_stats = batch_stats["dict"]
+        for backend, stats in batch_stats.items():
+            assert stats.invalidated == reference_stats.invalidated, (
+                f"seed {seed} batch {index}: the {backend} ledger's "
+                "invalidation diverged from the dict reference"
+            )
+            assert (
+                stats.cached_invalidated == reference_stats.cached_invalidated
+            ), f"seed {seed} batch {index} ({backend})"
+        served = [
+            (backend, cached)
+            for backend, evaluator in evaluators.items()
+            for cached in map(
+                evaluator.cached_estimate, range(evaluator.matrix.n_workers)
+            )
+            if cached is not None
+        ]
+        if served:
+            fresh = oracle.evaluate_all(evaluators["dict"].matrix)
+            for backend, cached in served:
                 assert_estimates_bit_identical(
-                    estimate, via_ledger[worker], "ledger-equivalence"
+                    fresh[cached.worker],
+                    cached,
+                    f"ledger-soundness-{backend} seed {seed} batch {index}",
                 )
+        if index % 3 == seed % 3:  # warm every cache at the same boundaries
+            for evaluator in evaluators.values():
+                evaluator.estimate_all()
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,8 @@
 """Unit tests for the dependency ledger (:mod:`repro.core.deps`).
 
-The differential suite proves the ledger's invalidation decisions equal the
-legacy per-read observer's on fuzzed streams; this file pins the edge cases
+The differential suite proves the vectorized backends' ledger decisions equal
+the dict backend's on fuzzed streams, and that every cache the ledger keeps
+equals a fresh batch build; this file pins the edge cases
 of the ledger itself — empty footprints, id remapping after a spammer
 compaction, growth across backend auto-flips, and the array round-trip
 behind durable snapshots.
@@ -14,7 +15,6 @@ import pytest
 
 from repro.core.deps import (
     DependencyLedger,
-    ObserverDependencyTracker,
     WorkerFootprint,
     encode_pair_ids,
 )
@@ -204,18 +204,3 @@ class TestRoundTrip:
         assert restored.workers == ledger.workers
         for changed in [[(3, 4)], [(1, 2)], [(0, 5)], [(0, 7)], [(8, 9)]]:
             assert restored.invalidated(changed) == ledger.invalidated(changed)
-
-    def test_observer_tracker_endpoint_rule(self):
-        """The legacy tracker applies the same endpoint rule as the ledger's
-        touch flag: a changed pair invalidates a recorded endpoint even when
-        that exact pair was never read at evaluation time (the growth case)."""
-        tracker = ObserverDependencyTracker()
-        tracker.begin(2)
-        tracker.note_pair((2, 3))
-        tracker.finish()
-        # Pair (2, 9) was never recorded — worker 9 did not exist when 2 was
-        # evaluated — but 2 is an endpoint, so it must be invalidated.
-        assert 2 in tracker.readers_of((2, 9))
-        assert tracker.readers_of((3, 9)) == set()
-        tracker.forget(2)
-        assert tracker.readers_of((2, 9)) == set()

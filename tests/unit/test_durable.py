@@ -425,9 +425,10 @@ class TestWarmCacheResume:
             (w, t, (w * t) % 2) for w in range(4, 8) for t in range(10, 20)
         ]
 
-    def test_state_round_trip_restores_warm_caches(self):
+    @pytest.mark.parametrize("backend", ["dict", "dense", "sparse", "bitset"])
+    def test_state_round_trip_restores_warm_caches(self, backend):
         events = self.two_component_stream()
-        evaluator = IncrementalEvaluator(8, 20, backend="dense")
+        evaluator = IncrementalEvaluator(8, 20, backend=backend)
         evaluator.apply_batch(events)
         warm = evaluator.estimate_all()
         meta, arrays = evaluator.export_state()
