@@ -4,14 +4,11 @@ Times ``MWorkerEstimator.evaluate_all`` on a non-regular binary matrix under
 every execution path, verifies all paths return bit-identical intervals, and
 reports the speedups:
 
-* ``dict``           — the original dict-of-dicts statistics (pure Python);
-* ``dense_scalar``   — vectorized statistics, sequential per-triple loop
-  (the fast path introduced by PR 1);
-* ``dense_batched``  — vectorized statistics plus the batched per-triple
-  stage (all of a worker's triples in one NumPy pass; the PR 2 path);
-* ``batched_lemma4`` — the batched triple stage plus the grouped Lemma-4/5
-  aggregation (triple-count tensor, stacked covariance grids, one batched
-  solve per group);
+* ``dict``           — the original dict-of-dicts statistics and the scalar
+  reference loops (pure Python);
+* ``batched_lemma4`` — the dense backend, which always runs the batched
+  triple stage plus the grouped Lemma-4/5 aggregation (triple-count
+  tensor, stacked covariance grids, one batched solve per group);
 * ``sharded``        — the fully batched path partitioned across
   ``--shards`` threads of the reusable executor over one shared statistics
   object (wall-clock wins need actual cores, so this mainly tracks the
@@ -69,8 +66,8 @@ import numpy as np
 from repro.core.m_worker import MWorkerEstimator
 from repro.simulation.binary import simulate_binary_responses
 
-#: The headline path of the current PR; trajectory entries and the trend
-#: gate key off it (falling back to ``dense_batched`` for older entries).
+#: The headline path; trajectory entries and the trend gate key off it
+#: (falling back to ``dense_batched`` for older entries).
 HEADLINE_PATH = "batched_lemma4"
 
 
@@ -89,22 +86,9 @@ def _paths(shards: int, skip_dict: bool) -> dict[str, dict]:
     paths = {}
     if not skip_dict:
         paths["dict"] = {"backend": "dict"}
-    paths["dense_scalar"] = {
-        "backend": "dense", "batch_triples": False, "batch_lemma4": False,
-    }
-    paths["dense_batched"] = {
-        "backend": "dense", "batch_triples": True, "batch_lemma4": False,
-    }
-    paths["batched_lemma4"] = {
-        "backend": "dense", "batch_triples": True, "batch_lemma4": True,
-    }
+    paths[HEADLINE_PATH] = {"backend": "dense"}
     if shards > 1:
-        paths["sharded"] = {
-            "backend": "dense",
-            "batch_triples": True,
-            "batch_lemma4": True,
-            "shards": shards,
-        }
+        paths["sharded"] = {"backend": "dense", "shards": shards}
     return paths
 
 
@@ -149,21 +133,7 @@ def run(
         and all(_identical(a, b) for a, b in zip(reference, result))
         for result in estimates.values()
     )
-    batched_speedup = (
-        seconds["dense_scalar"] / seconds["dense_batched"]
-        if seconds["dense_batched"] > 0
-        else float("inf")
-    )
-    lemma4_speedup = (
-        seconds["dense_batched"] / seconds[HEADLINE_PATH]
-        if seconds[HEADLINE_PATH] > 0
-        else float("inf")
-    )
-    print(
-        f"batched-triple speedup over dense_scalar: {batched_speedup:.1f}x   "
-        f"grouped-Lemma-4 speedup over dense_batched: {lemma4_speedup:.2f}x   "
-        f"bit-identical across all paths: {identical}"
-    )
+    print(f"bit-identical across all paths: {identical}")
     result = {
         "n_workers": n_workers,
         "n_tasks": n_tasks,
@@ -171,8 +141,6 @@ def run(
         "n_responses": matrix.n_responses,
         "seed": seed,
         "path_seconds": seconds,
-        "batched_speedup": batched_speedup,
-        "lemma4_speedup": lemma4_speedup,
         "bit_identical": identical,
         # Trajectory-compatible keys (PR 1 recorded dict vs best-dense).
         "dense_seconds": seconds[HEADLINE_PATH],
@@ -211,13 +179,12 @@ def run_sparse_regime(
         f"sparse-regime matrix: {n_workers} workers x {n_tasks} tasks, "
         f"{matrix.n_responses} responses (density {matrix.density:.3f})"
     )
-    batched = {"batch_triples": True, "batch_lemma4": True}
-    paths: dict[str, dict] = {"dense_batched": {"backend": "dense", **batched}}
+    paths: dict[str, dict] = {"dense_batched": {"backend": "dense"}}
     if scipy_available():
-        paths["sparse"] = {"backend": "sparse", **batched}
+        paths["sparse"] = {"backend": "sparse"}
     else:
         print("scipy unavailable: skipping the sparse path (bitset still runs)")
-    paths["bitset"] = {"backend": "bitset", **batched}
+    paths["bitset"] = {"backend": "bitset"}
 
     seconds: dict[str, float] = {}
     estimates: dict[str, list] = {}
@@ -267,11 +234,15 @@ def run_shard_sweep(
 ) -> dict:
     """Time the execution tiers head to head on the headline matrix.
 
-    Runs the fully batched dense path serially, on two threads and under
-    ``"auto"``, checks bit-identity, and records what the
-    cost model resolved ``"auto"`` to on this host.  On single-core CI
-    hosts ``"auto"`` resolves serial (documented in the cost model), so the
-    ``--min-shard-speedup`` gate only binds where parallel hardware exists.
+    Runs the dense path serially, on two threads and under ``"auto"``,
+    checks bit-identity, and records what the cost model resolved
+    ``"auto"`` to on this host.  ``"auto"`` resolves serial on hosts with
+    fewer than two usable cores and, on any host, for matrices whose work
+    proxy ``m^2 * n * fill`` falls below
+    :data:`~repro.core.parallel.AUTO_SHARD_THREAD_MIN_WORK`; the smoke
+    matrix (about 3.8e5 against 2^22) always does.  So the
+    ``--min-shard-speedup`` gate binds only with two or more cores *and*
+    enough work (:func:`_serial_reason` prints both inputs).
     """
     from repro.core.parallel import auto_shard_choice, available_cores
 
@@ -287,7 +258,6 @@ def run_shard_sweep(
         f'"auto" resolves to {auto_tier}:{auto_shards}'
     )
 
-    batched = {"backend": "dense", "batch_triples": True, "batch_lemma4": True}
     tiers: dict[str, int | str] = {"serial": 1, "thread:2": 2, "auto": "auto"}
     seconds: dict[str, float] = {}
     estimates: dict[str, list] = {}
@@ -296,7 +266,7 @@ def run_shard_sweep(
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
             estimates[name] = MWorkerEstimator(
-                confidence=confidence, shards=spec, **batched
+                confidence=confidence, backend="dense", shards=spec
             ).evaluate_all(matrix)
             best = min(best, time.perf_counter() - start)
         seconds[name] = best
@@ -329,6 +299,24 @@ def run_shard_sweep(
         "shard_speedup": shard_speedup,
         "bit_identical": identical,
     }
+
+
+def _serial_reason(sweep: dict) -> str:
+    """The inputs of the cost model's serial/thread choice for a sweep.
+
+    ``"auto"`` engages threads only with at least two usable cores and a
+    work proxy ``m^2 * n * fill`` (which equals ``m * responses``) of at
+    least :data:`~repro.core.parallel.AUTO_SHARD_THREAD_MIN_WORK`; the
+    string shows both so a vacuous pass says which one failed.
+    """
+    from repro.core.parallel import AUTO_SHARD_THREAD_MIN_WORK
+
+    work = sweep["n_workers"] * sweep["n_responses"]
+    return (
+        f"{sweep['cores']} usable cores, work proxy m^2*n*fill = {work:.3g}; "
+        "threads need at least 2 cores and work of at least "
+        f"{AUTO_SHARD_THREAD_MIN_WORK:.3g}"
+    )
 
 
 def _watched_path(entry: dict) -> str | None:
@@ -498,28 +486,15 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help='with --shard-sweep: exit non-zero unless the serial -> "auto" '
         'speedup reaches this factor; vacuously passes where "auto" '
-        "resolves serial (fewer than two usable cores)",
+        "resolves serial (fewer than two usable cores, or a matrix whose "
+        "work falls below the thread threshold, as the smoke matrix does)",
     )
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=None,
-        help="exit non-zero unless the dict -> dense_batched speedup reaches "
-        "this factor",
-    )
-    parser.add_argument(
-        "--min-batched-speedup",
-        type=float,
-        default=None,
-        help="exit non-zero unless the dense_scalar -> dense_batched speedup "
+        help=f"exit non-zero unless the dict -> {HEADLINE_PATH} speedup "
         "reaches this factor",
-    )
-    parser.add_argument(
-        "--min-lemma4-speedup",
-        type=float,
-        default=None,
-        help="exit non-zero unless the dense_batched -> batched_lemma4 "
-        "speedup reaches this factor",
     )
     parser.add_argument(
         "--trend-tolerance",
@@ -605,8 +580,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         if sweep_warning is not None:
             sweep_result["trend_warning"] = sweep_warning
-        # Explicit vacuity marker: on a single-core runner "auto" resolves
-        # serial, so a --min-shard-speedup gate passes without measuring
+        # Explicit vacuity marker: "auto" resolves serial on a single-core
+        # runner or below the cost model's work threshold (the smoke
+        # matrix), so a --min-shard-speedup gate passes without measuring
         # any sharding at all.  Record that in the result (and trajectory)
         # so a trend reader never mistakes a vacuous pass for a real one.
         sweep_result["vacuous"] = sweep_result["auto_tier"] == "serial"
@@ -647,17 +623,16 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
         if sweep_result["auto_tier"] == "serial":
+            reason = _serial_reason(sweep_result)
             print(
-                'shard-speedup gate: "auto" resolved serial on this host '
-                f"({sweep_result['cores']} usable cores) — gate passes "
-                "vacuously (sharding only engages with parallel hardware)"
+                'shard-speedup gate: "auto" resolved serial '
+                f"({reason}) — gate passes vacuously"
             )
             # GitHub Actions annotation so the vacuous pass is visible on
             # the run summary, not just buried in the log and the JSON.
             print(
                 "::notice title=shard-speedup gate vacuous::"
-                '"auto" resolved serial on a '
-                f"{sweep_result['cores']}-core runner; the "
+                f'"auto" resolved serial ({reason}); the '
                 f"--min-shard-speedup {args.min_shard_speedup:g} gate "
                 "measured no sharding (result marked \"vacuous\": true)"
             )
@@ -695,26 +670,6 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
-    if (
-        args.min_batched_speedup is not None
-        and result["batched_speedup"] < args.min_batched_speedup
-    ):
-        print(
-            f"FAIL: batched speedup {result['batched_speedup']:.1f}x below "
-            f"required {args.min_batched_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_lemma4_speedup is not None
-        and result["lemma4_speedup"] < args.min_lemma4_speedup
-    ):
-        print(
-            f"FAIL: grouped-Lemma-4 speedup {result['lemma4_speedup']:.2f}x "
-            f"below required {args.min_lemma4_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

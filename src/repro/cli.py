@@ -18,7 +18,7 @@ Five subcommands cover the common workflows without writing Python:
   the series (the same output the benchmark suite produces).
 * ``repro-crowd gauntlet`` — run the adversarial scenario gauntlet: a
   coverage/calibration cell for every (scenario family x backend x
-  estimator path) the capability matrix licenses, plus a gap-detection
+  estimator path of the family's kind), plus a gap-detection
   pass that flags untested cells (``--fail-on-gaps`` turns flags into a
   non-zero exit for CI).
 
@@ -159,22 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="SPEC",
         help="execution spec for batch evaluation: an integer N (default "
-        "1 = serial; N>1 splits the worker loop across N threads) or "
-        "'auto' (cost-based serial/thread choice); results are identical "
-        "either way, and tiny matrices or the dict backend fall back to "
-        "serial",
-    )
-    evaluate.add_argument(
-        "--no-batch-triples",
-        action="store_true",
-        help="disable the vectorized per-triple stage (results are "
-        "identical; the knob pins the slower path for debugging/benchmarks)",
-    )
-    evaluate.add_argument(
-        "--no-batch-lemma4",
-        action="store_true",
-        help="disable the cross-worker batched Lemma-4/5 aggregation "
-        "(results are identical; pins the per-worker aggregation path)",
+        "1 = serial; N>1 splits the worker loop across N threads whenever "
+        "the backend is vectorized and there are at least N workers, "
+        "however small the matrix) or 'auto' (threads only with two or "
+        "more usable cores, at least four workers and a work proxy "
+        "m^2*n*fill of at least 2^22, serial otherwise); the dict backend always runs serial, and "
+        "results are identical either way",
     )
 
     ingest = subparsers.add_parser(
@@ -234,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="SPEC",
         help="execution spec forwarded to the session's estimator (same "
-        "grammar as evaluate --shards; incremental recomputes honour it on "
-        "the vectorized backends — dependency footprints come back with "
-        "each thread chunk, so evaluation under a live stream scales)",
+        "grammar and serial/thread rule as evaluate --shards): incremental "
+        "recomputes on a vectorized backend run on threads, with results "
+        "identical to serial; on small streams the threads can be slower "
+        "than serial",
     )
     _add_stream_arguments(ingest)
 
@@ -330,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="BACKEND",
-        help="restrict to these backends (default: full capability matrix)",
+        help="restrict to these backends (default: every backend)",
     )
     gauntlet.add_argument(
         "--json",
@@ -360,8 +351,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
         confidence=args.confidence,
         remove_spammers=args.remove_spammers,
         backend=args.backend,
-        batch_triples=not args.no_batch_triples,
-        batch_lemma4=not args.no_batch_lemma4,
         shards=args.shards,
     )
     if not matrix.is_binary:

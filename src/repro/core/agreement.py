@@ -39,39 +39,33 @@ grid size and observed fill.
 Backend capability matrix
 -------------------------
 
-Every vectorized backend serves the bulk reads behind ``batch_triples`` and
-``batch_lemma4`` and shards across threads; only the dict path — which has
-no arrays to chunk — falls back to serial for every non-serial ``shards=``
-spec:
+The backend alone picks the Algorithm-A2 implementation: every vectorized
+backend runs the batched triple stage plus the grouped Lemma-4/5
+aggregation and shards across threads; the dict path runs the scalar
+reference the differential suite compares against and falls back to serial
+for every non-serial ``shards=`` spec:
 
-============  =============  ============  =============  ==========  ==============  =========  ==========
-backend       batch_triples  batch_lemma4  shared export  footprints  executor tiers  streaming  durability
-============  =============  ============  =============  ==========  ==============  =========  ==========
-``dict``      no (scalar)    no (scalar)   no             yes         serial only     yes        WAL replay
-``dense``     yes            yes           yes            yes         thread          yes        snapshots
-``sparse``    yes            yes           yes            yes         thread          yes        snapshots
-``bitset``    yes            yes           yes            yes         thread          yes        snapshots
-============  =============  ============  =============  ==========  ==============  =========  ==========
+============  =============  ==========  ==============  =========  ==========
+backend       shared export  footprints  executor tiers  streaming  durability
+============  =============  ==========  ==============  =========  ==========
+``dict``      no             yes         serial only     yes        WAL replay
+``dense``     yes            yes         thread          yes        snapshots
+``sparse``    yes            yes         thread          yes        snapshots
+``bitset``    yes            yes         thread          yes        snapshots
+============  =============  ==========  ==============  =========  ==========
 
-The same facts are exported machine-readably as
-:data:`BACKEND_CAPABILITIES` (one :class:`BackendCapability` per backend),
-which is what automated consumers enumerate instead of re-reading this
-table.  The scenario gauntlet (:mod:`repro.evaluation.gauntlet`) is the
-main such consumer: its measurement grid is
+The scenario gauntlet (:mod:`repro.evaluation.gauntlet`) measures the grid
 ``scenario family x backend x estimator path``, where the estimator paths
-per backend come from :func:`supported_estimator_paths` —
+depend on the family kind alone (:func:`supported_estimator_paths`) —
 
-* ``"scalar"`` — the sequential per-triple / per-worker reference path
-  (``batch_triples=False``, ``batch_lemma4=False``); every backend serves
-  it (it is the only binary path the dict backend has, and the only path
-  the k-ary Algorithm-A3 estimator has on any backend);
-* ``"batched"`` — the vectorized triple stage plus grouped Lemma-4/5
-  aggregation; requires the *batch_triples*/*batch_lemma4* columns above,
-  so it exists on the vectorized backends only;
+* ``"batch"`` — a from-scratch ``evaluate_all`` over a sampled matrix
+  (the m-worker estimator for binary families, Algorithm A3's single
+  triple for k-ary ones) on every backend;
 * ``"streamed"`` — responses applied incrementally (micro-batched
   ``apply_responses`` under :class:`~repro.serve.session.StreamSession`)
   and estimates served from the last batch boundary; every backend
-  streams (the *streaming* column), dict included.
+  streams (the *streaming* column), dict included.  Binary families only:
+  Algorithm A3 has no incremental path.
 
 Coverage numbers across those cells are comparable because every gauntlet
 cell goes through the shared accounting of
@@ -79,10 +73,11 @@ cell goes through the shared accounting of
 (``usable_estimate``), with ``n_degenerate`` and skipped repetitions
 surfaced per cell instead of silently dropped.  The gauntlet's
 gap-detection pass recomputes the full grid from
-:data:`~repro.simulation.gauntlet.GAUNTLET_FAMILIES` x
-:data:`BACKEND_CAPABILITIES` and flags any (scenario, backend, path) cell
-a report failed to plan — so adding a backend here (or a family there)
-makes an untested combination loud, not invisible.
+:data:`~repro.simulation.gauntlet.GAUNTLET_FAMILIES` x every backend in
+:data:`~repro.data.dense_backend.BACKEND_CHOICES` (``"auto"`` aside) and
+flags any (scenario, backend, path) cell a report failed to plan — so
+adding a backend (or a family) makes an untested combination loud, not
+invisible.
 
 The *shared export* column serves durable snapshots only: the backend
 can export its precomputed state (packed planes, count matrices, vote
@@ -217,108 +212,32 @@ from repro.data.response_matrix import ResponseMatrix
 
 __all__ = [
     "AgreementStatistics",
-    "BACKEND_CAPABILITIES",
-    "BackendCapability",
     "ESTIMATOR_PATHS",
-    "TripleCovarianceInputs",
     "compute_agreement_statistics",
     "pair_key",
     "supported_estimator_paths",
 ]
 
 
-@dataclass(frozen=True)
-class BackendCapability:
-    """Machine-readable row of the backend capability matrix above.
-
-    Attributes mirror the documented columns: the batched bulk reads
-    (*batch_triples*/*batch_lemma4*), the state export behind durable
-    snapshots, the returned-footprint dependency protocol and the
-    streaming delta-update protocol.  ``estimator_paths`` lists the
-    binary estimator paths the backend serves (see the module docstring).
-    """
-
-    backend: str
-    batch_triples: bool
-    batch_lemma4: bool
-    shared_export: bool
-    footprints: bool
-    streaming: bool
-
-    @property
-    def estimator_paths(self) -> tuple[str, ...]:
-        """Binary estimator paths this backend serves, in canonical order."""
-        paths = ["scalar"]
-        if self.batch_triples and self.batch_lemma4:
-            paths.append("batched")
-        if self.streaming:
-            paths.append("streamed")
-        return tuple(paths)
-
-
-#: The capability matrix, machine-readable.  Keep in lockstep with the
-#: documented table above and the differential suite's path tables; the
-#: gauntlet's gap detection enumerates this to demand a measurement cell
-#: for every licensed combination.
-BACKEND_CAPABILITIES: dict[str, BackendCapability] = {
-    "dict": BackendCapability(
-        backend="dict",
-        batch_triples=False,
-        batch_lemma4=False,
-        shared_export=False,
-        footprints=True,
-        streaming=True,
-    ),
-    "dense": BackendCapability(
-        backend="dense",
-        batch_triples=True,
-        batch_lemma4=True,
-        shared_export=True,
-        footprints=True,
-        streaming=True,
-    ),
-    "sparse": BackendCapability(
-        backend="sparse",
-        batch_triples=True,
-        batch_lemma4=True,
-        shared_export=True,
-        footprints=True,
-        streaming=True,
-    ),
-    "bitset": BackendCapability(
-        backend="bitset",
-        batch_triples=True,
-        batch_lemma4=True,
-        shared_export=True,
-        footprints=True,
-        streaming=True,
-    ),
+#: Estimator paths per scenario kind, in canonical grid order.
+ESTIMATOR_PATHS: dict[str, tuple[str, ...]] = {
+    "binary": ("batch", "streamed"),
+    "kary": ("batch",),
 }
 
-#: Canonical estimator-path order for grids and reports.
-ESTIMATOR_PATHS: tuple[str, ...] = ("scalar", "batched", "streamed")
 
+def supported_estimator_paths(kind: str = "binary") -> tuple[str, ...]:
+    """Estimator paths measured for a scenario family of ``kind``.
 
-def supported_estimator_paths(backend: str, kind: str = "binary") -> tuple[str, ...]:
-    """Estimator paths the capability matrix licenses for ``backend``.
-
-    ``kind`` is the scenario/estimator family: ``"binary"`` (the m-worker
-    estimator, whose batched and streamed paths exist where the matrix says
-    so) or ``"kary"`` (Algorithm A3 evaluates one triple scalarly on every
-    backend — no batch stage, no incremental path).
+    ``"binary"`` (the m-worker estimator: batch and streamed) or
+    ``"kary"`` (Algorithm A3 evaluates one triple per batch — no
+    incremental path).  Every backend serves every path of its kind.
     """
-    if backend not in BACKEND_CAPABILITIES:
-        raise DataValidationError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{sorted(BACKEND_CAPABILITIES)}"
-        )
-    if kind == "kary":
-        return ("scalar",)
-    if kind != "binary":
+    if kind not in ESTIMATOR_PATHS:
         raise DataValidationError(
             f"unknown estimator kind {kind!r}; expected 'binary' or 'kary'"
         )
-    return BACKEND_CAPABILITIES[backend].estimator_paths
+    return ESTIMATOR_PATHS[kind]
 
 
 def pair_key(a: int, b: int) -> tuple[int, int]:
@@ -335,31 +254,6 @@ _pair_key = pair_key
 
 def _triple_key(a: int, b: int, c: int) -> tuple[int, int, int]:
     return tuple(sorted((a, b, c)))  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class TripleCovarianceInputs:
-    """Bulk statistics feeding the vectorized Lemma-4 covariance assembly.
-
-    All arrays are indexed by position in the ``partners`` sequence the
-    inputs were requested for.
-
-    Attributes
-    ----------
-    common_with_worker:
-        ``c_{i, x}`` for each partner ``x`` (float64, exact integers).
-    partner_common:
-        ``c_{x, y}`` for each partner pair.
-    partner_agreements:
-        Agreement counts for each partner pair.
-    triple_counts:
-        ``c_{i, x, y}`` for each partner pair.
-    """
-
-    common_with_worker: np.ndarray
-    partner_common: np.ndarray
-    partner_agreements: np.ndarray
-    triple_counts: np.ndarray
 
 
 @dataclass
@@ -457,37 +351,6 @@ class AgreementStatistics:
         """
         return self.backend is not None
 
-    def triple_covariance_inputs(
-        self, worker: int, partners: np.ndarray, fast_counts: bool = False
-    ) -> TripleCovarianceInputs:
-        """Bulk counts for the Lemma-4 covariance over ``worker``'s partners.
-
-        One masked (or fill-restricted) matrix product yields every triple
-        count ``c_{worker, x, y}``; the pair matrices are sliced from the
-        precomputed backend arrays.  Requires a vectorized backend (any
-        :class:`~repro.data.dense_backend.AgreementBackendBase`).
-        ``fast_counts`` opts into the float32 exact-count product for the
-        triple grid (identical values; see
-        :meth:`DenseAgreementBackend.triple_count_matrix`; the sparse and
-        bitset backends ignore the flag — their grids are already the
-        cheap form).
-        """
-        if self.backend is None:
-            raise DataValidationError(
-                "triple_covariance_inputs requires a vectorized backend; "
-                "use AgreementStatistics.precompute"
-            )
-        common = self.backend.common_counts
-        agree = self.backend.agreement_counts
-        return TripleCovarianceInputs(
-            common_with_worker=common[worker, partners].astype(np.float64),
-            partner_common=common[np.ix_(partners, partners)].astype(np.float64),
-            partner_agreements=agree[np.ix_(partners, partners)].astype(np.float64),
-            triple_counts=self.backend.triple_count_matrix(
-                worker, partners, fast=fast_counts
-            ),
-        )
-
     def lemma4_inputs(
         self, worker: int, partners: np.ndarray, clamp_margin: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -496,15 +359,13 @@ class AgreementStatistics:
         Returns ``(common_with_worker, partner_2q_minus_1, triple_counts)``
         — the Lemma-4 term grid only ever consumes the partner rates through
         ``2 q - 1``, so that matrix is gathered pre-computed from the
-        backend's batch-level cache.  Values are identical to the inline
-        computation over :meth:`triple_covariance_inputs`.  Requires a
-        vectorized backend.
+        backend's batch-level cache.  Requires a vectorized backend.
         """
         _, two_q_minus_1, _ = self.backend.clamped_rate_data(clamp_margin)
         return (
             self.backend.common_counts_f64[worker, partners],
             two_q_minus_1[np.ix_(partners, partners)],
-            self.backend.triple_count_matrix(worker, partners, fast=True),
+            self.backend.triple_count_matrix(worker, partners),
         )
 
     def lemma4_group_inputs(

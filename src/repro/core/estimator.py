@@ -56,13 +56,6 @@ class WorkerEvaluator:
         ``"dict"`` (original dict-of-dicts loops) or ``"auto"`` (dense when
         the matrix is small enough to materialize).  The choice affects
         throughput only; intervals are bit-identical across backends.
-    batch_triples:
-        Evaluate each worker's triples in one vectorized stage pass (see
-        :class:`~repro.core.m_worker.MWorkerEstimator`).  Throughput only.
-    batch_lemma4:
-        Batch the Lemma-4/5 aggregation across workers during binary batch
-        evaluation (see :class:`~repro.core.m_worker.MWorkerEstimator`).
-        Throughput only.
     shards:
         Execution spec for the binary stages: an integer thread count
         (``1`` = serial) or ``"auto"`` (see
@@ -81,8 +74,6 @@ class WorkerEvaluator:
     kary_epsilon: float = 0.01
     rng: np.random.Generator | None = field(default=None, repr=False)
     backend: str = "auto"
-    batch_triples: bool = True
-    batch_lemma4: bool = True
     shards: int | str = 1
 
     def __post_init__(self) -> None:
@@ -123,8 +114,6 @@ class WorkerEvaluator:
             pairing_strategy=self.pairing_strategy,
             rng=self.rng,
             backend=self.backend,
-            batch_triples=self.batch_triples,
-            batch_lemma4=self.batch_lemma4,
             shards=self.shards,
         )
         estimates = estimator.evaluate_all(working_matrix)

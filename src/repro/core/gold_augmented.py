@@ -123,20 +123,18 @@ class GoldAugmentedEvaluator:
         Passed through to the agreement-based m-worker estimator.
     gold_method:
         Which gold-based interval to use (``"wilson"`` or ``"wald"``).
-    backend, batch_triples, batch_lemma4, shards:
-        Fast-path knobs passed through to the inner
+    backend, shards:
+        Passed through to the inner
         :class:`~repro.core.m_worker.MWorkerEstimator`, so the fused
-        evaluator rides the same vectorized/batched/sharded paths as plain
-        batch evaluation.  Throughput only — fused intervals are
-        bit-identical across all settings.
+        evaluator rides the same vectorized/sharded paths as plain batch
+        evaluation.  Throughput only — fused intervals are bit-identical
+        across all settings.
     """
 
     confidence: float = 0.95
     optimize_weights: bool = True
     gold_method: str = "wilson"
     backend: str = "auto"
-    batch_triples: bool = True
-    batch_lemma4: bool = True
     shards: int | str = 1
 
     def __post_init__(self) -> None:
@@ -162,8 +160,6 @@ class GoldAugmentedEvaluator:
             confidence=self.confidence,
             optimize_weights=self.optimize_weights,
             backend=self.backend,
-            batch_triples=self.batch_triples,
-            batch_lemma4=self.batch_lemma4,
             shards=self.shards,
         ).evaluate_all(matrix)
         gold_estimates: dict[int, WorkerErrorEstimate] = {}

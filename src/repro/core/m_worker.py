@@ -15,22 +15,25 @@ For each worker ``w_i``:
 Step 3 is the batch-evaluation hot path: with ``l ~ m/2`` triples per worker
 it assembles an ``l x l`` covariance whose every entry needs a triple count
 ``c_{i,j,j'}`` and a partner agreement rate, i.e. O(m^3) Lemma-4 terms over
-all workers.  When the agreement statistics carry a dense backend (see
-:mod:`repro.data.dense_backend`), the assembly is vectorized: the triple
-counts come from the backend's cached triple-count tensor (or one masked
-matrix product per worker) and the whole term grid is evaluated with NumPy
-elementwise arithmetic that replicates the scalar code's floating-point
-operation order exactly, so both paths return bit-identical intervals.
-During ``evaluate_all`` the aggregation is additionally batched *across*
-workers (``batch_lemma4=``): workers are grouped by triple count, the
-groups' covariance grids are stacked into 3-D tensors, and the Lemma-5
-weight solve runs as one batched factorization per group.  Step 2 is
-batched the same way (:func:`~repro.core.three_worker.evaluate_triples_batched`
-evaluates all of a worker's triples in one vectorized pass), and
-``evaluate_all`` can additionally be sharded across threads over one
-shared statistics object (``shards=``; see :class:`MWorkerEstimator` for
-the determinism contract).  The scalar loops are kept as the reference
-(and the fallback for the dict backend and for degenerate pairings).
+all workers.
+
+The statistics backend alone picks the implementation.  The dict backend
+runs the scalar reference loops (:func:`~repro.core.pairing.greedy_pairs`,
+:func:`~repro.core.three_worker.evaluate_worker_in_triple`,
+:func:`_cross_triple_covariance`), which the cross-backend differential
+suite compares every other path against.  A vectorized backend (see
+:mod:`repro.data.dense_backend`) always runs the batched path: greedy
+Step 1 reads the dense count matrix
+(:func:`~repro.core.pairing.greedy_pairs_dense`), Step 2 evaluates all triples in one NumPy pass
+(:func:`~repro.core.three_worker.evaluate_triples_batched_arrays`), and
+during ``evaluate_all`` Step 3 is batched *across* workers: workers are
+grouped by triple count, the groups' covariance grids are stacked into 3-D
+tensors over the backend's triple-count tensor, and the Lemma-5 weight
+solve runs as one batched factorization per group.  Every elementwise
+expression replicates the scalar code's floating-point operation order, so
+both paths return bit-identical intervals.  ``evaluate_all`` can
+additionally be sharded across threads over one shared statistics object
+(``shards=``; see :class:`MWorkerEstimator` for the determinism contract).
 """
 
 from __future__ import annotations
@@ -156,44 +159,27 @@ def _vectorized_cross_covariances(
     triple_estimates: list[TripleEstimate],
     p_worker: float,
     clamp_margin: float,
-    fast_counts: bool = False,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """All Lemma-4 cross-triple covariances for one worker, in one shot.
 
     Returns the full ``l x l`` grid of off-diagonal covariance values (the
-    diagonal entries are meaningless and must be overwritten by the caller),
-    or None when the fast path does not apply — no dense backend, or a
-    partner appearing in two triples (which the paper's pairing strategies
-    never produce, but the scalar path supports).
+    diagonal entries are meaningless and must be overwritten by the
+    caller).  Requires a vectorized backend and pairwise-distinct partners,
+    which both pairing strategies guarantee (each candidate is paired at
+    most once).
 
     Every elementwise expression below mirrors the exact floating-point
     operation order of :func:`_pair_covariance_term` /
     :func:`_cross_triple_covariance`, so the result is bit-identical to the
     scalar loop.
     """
-    if not stats.has_dense_backend:
-        return None
-    if not _lemma4_batchable(triple_estimates):
-        return None
     n = len(triple_estimates)
     first_partners = [t.partners[0] for t in triple_estimates]
     second_partners = [t.partners[1] for t in triple_estimates]
     partners = np.asarray(first_partners + second_partners, dtype=np.int64)
-    if fast_counts:
-        c_with_worker, two_q_minus_1, c_triple = stats.lemma4_inputs(
-            worker, partners, clamp_margin
-        )
-    else:
-        inputs = stats.triple_covariance_inputs(worker, partners)
-        c_triple = inputs.triple_counts
-        c_with_worker = inputs.common_with_worker
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = inputs.partner_agreements / inputs.partner_common
-        # clamp_agreement, elementwise and in the same order.
-        q = np.where(q > 1.0, 1.0, q)
-        lower = 0.5 + clamp_margin
-        q = np.where(q < lower, lower, q)
-        two_q_minus_1 = 2.0 * q - 1.0
+    c_with_worker, two_q_minus_1, c_triple = stats.lemma4_inputs(
+        worker, partners, clamp_margin
+    )
     numerator = ((c_triple * p_worker) * (1.0 - p_worker)) * two_q_minus_1
     denominator = c_with_worker[:, None] * c_with_worker[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -213,21 +199,6 @@ def _vectorized_cross_covariances(
     u_3 = (d_second[:, None] * d_first[None, :]) * term[n:, :n]
     u_4 = (d_second[:, None] * d_second[None, :]) * term[n:, n:]
     return ((u_1 + u_2) + u_3) + u_4
-
-
-def _lemma4_batchable(triple_estimates: list[TripleEstimate]) -> bool:
-    """Whether a worker's triples fit the stacked Lemma-4 fast path.
-
-    Mirrors the partner-distinctness precondition of
-    :func:`_vectorized_cross_covariances`: a partner appearing in two
-    triples (which the paper's pairing strategies never produce, but the
-    scalar path supports) sends the worker through the per-worker
-    aggregation instead.
-    """
-    partner_list = [t.partners[0] for t in triple_estimates] + [
-        t.partners[1] for t in triple_estimates
-    ]
-    return len(set(partner_list)) == 2 * len(triple_estimates)
 
 
 def _full_grid_cross_covariances(
@@ -304,26 +275,6 @@ class MWorkerEstimator:
         ~10-100x faster for batch evaluation, and sparse/bitset open
         low-fill grids the dense arrays cannot hold.  Ignored when a
         prebuilt ``stats`` object is supplied.
-    batch_triples:
-        Evaluate all of a worker's triples in one vectorized pass (Step 2 of
-        Algorithm A2) instead of the sequential per-triple loop.  Requires
-        the dense backend (silently ignored otherwise) and produces
-        bit-identical results; the knob exists so benchmarks and the
-        differential test suite can pin down each path.
-    batch_lemma4:
-        Batch Step 3 of Algorithm A2 across workers during
-        :meth:`evaluate_all`: workers are grouped by triple count ``l``,
-        their ``l x l`` Lemma-4 covariance grids are stacked into a 3-D
-        tensor assembled with broadcast NumPy, and the Lemma-5 weight solve
-        runs as one batched ``linalg.solve`` per group (with per-matrix
-        fallback for slices the batched Cholesky/LU rejects, so a
-        near-singular grid never perturbs its batch-mates).  Only active on
-        the batched ``evaluate_all`` path (requires ``batch_triples`` and
-        the dense backend; silently ignored otherwise — single-worker
-        :meth:`evaluate_worker` calls always use the per-worker
-        aggregation).  Bit-identical to the per-worker path by the same
-        pinned-operation-order construction as ``batch_triples``; the knob
-        exists so benchmarks and the differential suite can pin each path.
     shards:
         Execution spec for :meth:`evaluate_all` (parsed by
         :func:`~repro.core.parallel.parse_shard_spec`).  ``1`` (the
@@ -349,12 +300,12 @@ class MWorkerEstimator:
       returns its estimates in worker order, and the parent concatenates
       the shard results in shard order, which *is* worker order ``0..m-1``.
 
-    ``batch_lemma4`` composes with sharding: each shard runs the batched
-    Lemma-4/5 aggregation over its own worker range (grouping by triple
-    count *within* the shard).  Because every batched operation is
-    per-slice, group membership — and therefore shard membership — cannot
-    influence any worker's numbers, so ``shards=N`` plus ``batch_lemma4``
-    remains bit-identical to the serial scalar path.
+    On a vectorized backend each shard runs the grouped Lemma-4/5
+    aggregation over its own worker range (grouping by triple count
+    *within* the shard).  Because every batched operation is per-slice,
+    group membership — and therefore shard membership — cannot influence
+    any worker's numbers, so ``shards=N`` remains bit-identical to the
+    serial dict reference.
 
     Execution tiers and thresholds
     ------------------------------
@@ -375,9 +326,7 @@ class MWorkerEstimator:
     replicate), or non-binary data.  Dependency tracking forces no
     fallback: the incremental evaluator consumes the footprints
     :meth:`evaluate_worker_range` returns, so its recomputes shard like any
-    batch run.  The batching knobs need no fallback either:
-    ``batch_triples`` and ``batch_lemma4`` compose with every vectorized
-    backend (see the capability matrix in :mod:`repro.core.agreement`).
+    batch run.
     """
 
     confidence: float = 0.95
@@ -387,8 +336,6 @@ class MWorkerEstimator:
     min_overlap: int = 1
     rng: np.random.Generator | None = None
     backend: str = "auto"
-    batch_triples: bool = True
-    batch_lemma4: bool = True
     shards: int | str = 1
 
     def __post_init__(self) -> None:
@@ -456,7 +403,6 @@ class MWorkerEstimator:
             strategy=self.pairing_strategy,
             rng=self.rng,
             min_overlap=self.min_overlap,
-            accelerate=self.batch_triples,
             probe_log=probe_log,
         )
         if footprint_sink is not None:
@@ -471,7 +417,7 @@ class MWorkerEstimator:
             return self._degenerate_estimate(matrix, worker)
 
         pairs = [(partner_a, partner_b) for _, partner_a, partner_b in triples]
-        if self.batch_triples and stats.has_dense_backend:
+        if stats.has_dense_backend:
             # Batched Step 2: all triples in one vectorized pass; unusable
             # slots are the triples the scalar loop would have skipped with
             # InsufficientDataError.
@@ -622,12 +568,7 @@ class MWorkerEstimator:
                 "footprint collection requires the greedy pairing strategy "
                 "without a custom rng"
             )
-        if (
-            self.batch_triples
-            and stats.has_dense_backend
-            and matrix.is_binary
-            and matrix.n_workers >= 3
-        ):
+        if stats.has_dense_backend and matrix.is_binary and matrix.n_workers >= 3:
             return self._evaluate_workers_batched(
                 matrix, stats, workers, collect_footprints
             )
@@ -671,8 +612,8 @@ class MWorkerEstimator:
         ``rng`` consumption order for the random strategy), then all formed
         triples are concatenated and evaluated in a single invocation of the
         batched triple stage; the Lemma-4 aggregation consumes contiguous
-        row windows of the result — grouped across workers when
-        ``batch_lemma4`` is set, per worker otherwise.  Bit-identical to
+        row windows of the result, grouped across workers by triple count
+        (workers with fewer than two triples finish alone).  Bit-identical to
         calling :meth:`evaluate_worker` per worker — elementwise arithmetic
         on a concatenation is elementwise arithmetic on each window.
 
@@ -695,7 +636,6 @@ class MWorkerEstimator:
                 strategy=self.pairing_strategy,
                 rng=self.rng,
                 min_overlap=self.min_overlap,
-                accelerate=True,
                 probe_log=probe_log,
             )
             per_worker_pairs.append([(a, b) for _, a, b in triples])
@@ -774,7 +714,7 @@ class MWorkerEstimator:
             triple_estimates, worst_status = self._triples_from_arrays(
                 stats, worker, pairs, window
             )
-            if not (self.batch_lemma4 and len(triple_estimates) >= 2):
+            if len(triple_estimates) < 2:
                 chunk_results[position] = self._finalize_worker(
                     matrix, stats, worker, triple_estimates, worst_status
                 )
@@ -784,24 +724,13 @@ class MWorkerEstimator:
             # re-extracts from the materialized records (same values).
             ext = None
             if bool(window.usable.all()) and not bool(window.needs_scalar.any()):
-                pairs_array = np.asarray(pairs, dtype=np.int64)
-                if np.unique(pairs_array).size != 2 * len(pairs):
-                    chunk_results[position] = self._finalize_worker(
-                        matrix, stats, worker, triple_estimates, worst_status
-                    )
-                    continue
                 ext = (
                     window.estimates,
                     window.deviations,
                     window.d_partner_a,
                     window.d_partner_b,
-                    pairs_array,
+                    np.asarray(pairs, dtype=np.int64),
                 )
-            elif not _lemma4_batchable(triple_estimates):
-                chunk_results[position] = self._finalize_worker(
-                    matrix, stats, worker, triple_estimates, worst_status
-                )
-                continue
             groups.setdefault(len(triple_estimates), []).append(
                 (position, worker, triple_estimates, worst_status, ext)
             )
@@ -947,19 +876,10 @@ class MWorkerEstimator:
         np.fill_diagonal(
             covariance, [t.deviation**2 for t in triple_estimates]
         )
-        cross = (
-            _vectorized_cross_covariances(
-                stats,
-                worker,
-                triple_estimates,
-                p_plugin,
-                self.clamp_margin,
-                fast_counts=self.batch_triples,
+        if n >= 2 and stats.has_dense_backend:
+            cross = _vectorized_cross_covariances(
+                stats, worker, triple_estimates, p_plugin, self.clamp_margin
             )
-            if n >= 2
-            else None
-        )
-        if cross is not None:
             # Mirror the upper triangle (as the scalar loop does) rather than
             # taking both halves of the grid: the two halves can differ in
             # the last ulp because the four Lemma-4 terms sum in a different

@@ -150,7 +150,6 @@ def form_triples(
     strategy: str = "greedy",
     rng: np.random.Generator | None = None,
     min_overlap: int = 1,
-    accelerate: bool = False,
     probe_log: list[tuple[int, int]] | None = None,
 ) -> list[tuple[int, int, int]]:
     """Form the triples used to evaluate ``target`` (Step 1 of Algorithm A2).
@@ -165,15 +164,15 @@ def form_triples(
         The other workers available as partners.
     strategy:
         ``"greedy"`` (the paper's strategy) or ``"random"`` (ablation).
+        Greedy pairing reads the dense count matrix
+        (:func:`greedy_pairs_dense`) when the statistics carry a vectorized
+        backend and runs the reference :func:`greedy_pairs` on the dict
+        backend; both yield identical pairs and probe logs.
     rng:
         Required for the random strategy.
     min_overlap:
         Minimum number of common tasks required between every pair inside a
         triple.
-    accelerate:
-        Permit :func:`greedy_pairs_dense` when the statistics carry a
-        vectorized backend (identical pairs and probe log, array reads
-        instead of per-pair calls).  Ignored for the random strategy.
     probe_log:
         Collect the pairing scan's candidate-vs-candidate overlap probes
         (for dependency footprints; greedy strategy only — the random
@@ -184,7 +183,7 @@ def form_triples(
     list of triples ``(target, partner_a, partner_b)``.
     """
     if strategy == "greedy":
-        if accelerate and stats.has_dense_backend:
+        if stats.has_dense_backend:
             pairs = greedy_pairs_dense(
                 stats.backend.common_counts,
                 target,

@@ -273,10 +273,7 @@ class AgreementBackendBase:
         raise NotImplementedError
 
     def triple_count_matrix(
-        self,
-        worker: int,
-        partners: Sequence[int] | np.ndarray,
-        fast: bool = False,
+        self, worker: int, partners: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """All ``c_{worker, x, y}`` for ``x, y`` in ``partners`` (float64,
         exact integer counts)."""
@@ -890,19 +887,15 @@ class DenseAgreementBackend(AgreementBackendBase):
     # ------------------------------------------------------------------ #
 
     def triple_count_matrix(
-        self,
-        worker: int,
-        partners: Sequence[int] | np.ndarray,
-        fast: bool = False,
+        self, worker: int, partners: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """All ``c_{worker, x, y}`` for ``x, y`` in ``partners``, in one matmul.
 
         Returns a ``(len(partners), len(partners))`` float64 array of exact
         integer counts; entry ``[s, t]`` is the number of tasks attempted by
-        ``worker``, ``partners[s]`` and ``partners[t]`` alike.  With
-        ``fast=True`` the product runs in float32 when the task count keeps
-        it exact (identical values, ~2x throughput); the default float64
-        path is preserved as the reference.
+        ``worker``, ``partners[s]`` and ``partners[t]`` alike.  The product
+        runs in float32 while the task count keeps it exact (see
+        :data:`_FLOAT32_EXACT_TASK_LIMIT`) and in float64 above that.
         """
         partner_index = np.asarray(partners, dtype=np.int64)
         self._validate_workers(worker)
@@ -910,7 +903,7 @@ class DenseAgreementBackend(AgreementBackendBase):
             partner_index.min() < 0 or partner_index.max() >= self._n_workers
         ):
             raise DataValidationError("partner id out of range")
-        if fast and self._n_tasks <= _FLOAT32_EXACT_TASK_LIMIT:
+        if self._n_tasks <= _FLOAT32_EXACT_TASK_LIMIT:
             attempts_f32 = self._attempts_as_f32
             if attempts_f32 is not None and partner_index.size >= 0.75 * self._n_workers:
                 # Dense partner sets (the evaluate_all case: every other

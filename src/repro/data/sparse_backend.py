@@ -275,16 +275,11 @@ class BitsetAgreementBackend(AgreementBackendBase):
         return out
 
     def triple_count_matrix(
-        self,
-        worker: int,
-        partners: Sequence[int] | np.ndarray,
-        fast: bool = False,
+        self, worker: int, partners: Sequence[int] | np.ndarray
     ) -> np.ndarray:
         """All ``c_{worker, x, y}`` for ``x, y`` in ``partners``.
 
-        One fill-restricted product (module docstring); ``fast`` is
-        accepted for interface compatibility and ignored — this path is
-        already the cheap one, and its counts are exact either way.
+        One fill-restricted product (module docstring), exact counts.
         """
         partner_index = np.asarray(partners, dtype=np.int64)
         self._validate_workers(worker)

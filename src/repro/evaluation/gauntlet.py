@@ -7,14 +7,15 @@ lazily and memoized on first read, so a report template (the CLI table, the
 JSON report, the benchmark gate) only pays for the cells it actually
 renders.  A cell is one coverage/calibration measurement: a scenario family
 from :data:`~repro.simulation.gauntlet.GAUNTLET_FAMILIES`, scored through
-one agreement backend and one estimator path licensed by the capability
-matrix in :mod:`repro.core.agreement`.
+one agreement backend and one estimator path of the family's kind
+(:func:`~repro.core.agreement.supported_estimator_paths`: ``"batch"`` and,
+for binary families, ``"streamed"``).
 
 The gap-detection pass (:func:`detect_gaps`) recomputes the full expected
-grid from the registry x capability matrix and flags any cell a report
-failed to plan, so the gauntlet stays exhaustive as backends and scenario
-families multiply: registering either is what *creates* the obligation to
-test it.
+grid from the registry x :data:`GAUNTLET_BACKENDS` and flags any cell a
+report failed to plan, so the gauntlet stays exhaustive as backends and
+scenario families multiply: registering either is what *creates* the
+obligation to test it.
 
 All cells run through the shared accounting of
 :mod:`repro.evaluation.coverage` — one degenerate predicate
@@ -33,12 +34,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.agreement import (
-    BACKEND_CAPABILITIES,
-    supported_estimator_paths,
-)
+from repro.core.agreement import supported_estimator_paths
 from repro.core.kary import KaryEstimator
 from repro.core.m_worker import MWorkerEstimator
+from repro.data.dense_backend import BACKEND_CHOICES
 from repro.evaluation.coverage import CoverageResult, usable_estimate
 from repro.exceptions import ConfigurationError, InsufficientDataError
 from repro.simulation.gauntlet import GAUNTLET_FAMILIES, GauntletFamily
@@ -46,6 +45,7 @@ from repro.simulation.scenarios import SimulationScenario
 from repro.types import EstimateStatus
 
 __all__ = [
+    "GAUNTLET_BACKENDS",
     "CellKey",
     "GauntletCell",
     "GauntletResults",
@@ -56,6 +56,11 @@ __all__ = [
 
 #: One grid coordinate: (scenario family, backend, estimator path).
 CellKey = tuple[str, str, str]
+
+#: Every concrete backend (``"auto"`` only resolves to one of them).
+GAUNTLET_BACKENDS: tuple[str, ...] = tuple(
+    name for name in BACKEND_CHOICES if name != "auto"
+)
 
 
 @dataclass(frozen=True)
@@ -87,19 +92,19 @@ def expected_cells(
     families: Mapping[str, GauntletFamily] | Sequence[str] | None = None,
     backends: Sequence[str] | None = None,
 ) -> tuple[CellKey, ...]:
-    """The full grid the registry x capability matrix demands, in order.
+    """The full grid the registry x backends demand, in order.
 
     For every registered scenario family and every backend, one cell per
-    estimator path :func:`~repro.core.agreement.supported_estimator_paths`
-    licenses for the family's kind.  This is the enumeration gap detection
-    compares a report against.
+    estimator path of the family's kind
+    (:func:`~repro.core.agreement.supported_estimator_paths`).  This is the
+    enumeration gap detection compares a report against.
     """
     resolved = _resolve_families(families)
     backend_names = _resolve_backends(backends)
     cells: list[CellKey] = []
     for name, family in resolved.items():
         for backend in backend_names:
-            for path in supported_estimator_paths(backend, kind=family.kind):
+            for path in supported_estimator_paths(family.kind):
                 cells.append((name, backend, path))
     return tuple(cells)
 
@@ -124,12 +129,12 @@ def _resolve_families(
 
 def _resolve_backends(backends: Sequence[str] | None) -> tuple[str, ...]:
     if backends is None:
-        return tuple(BACKEND_CAPABILITIES)
+        return GAUNTLET_BACKENDS
     for backend in backends:
-        if backend not in BACKEND_CAPABILITIES:
+        if backend not in GAUNTLET_BACKENDS:
             raise ConfigurationError(
-                f"unknown backend {backend!r}; capability matrix covers "
-                f"{sorted(BACKEND_CAPABILITIES)}"
+                f"unknown backend {backend!r}; the gauntlet covers "
+                f"{sorted(GAUNTLET_BACKENDS)}"
             )
     return tuple(backends)
 
@@ -150,7 +155,7 @@ class GauntletResults:
         of name -> :class:`~repro.simulation.gauntlet.GauntletFamily` for
         ad-hoc grids.
     backends:
-        Backends to include (default: every row of the capability matrix).
+        Backends to include (default: every :data:`GAUNTLET_BACKENDS` entry).
     n_repetitions, confidence:
         Repetitions per cell and the nominal interval level.
     seed:
@@ -226,11 +231,10 @@ class GauntletResults:
                 f"backend {backend!r} is not part of this gauntlet run"
             )
         kind = self._families[family].kind
-        if path not in supported_estimator_paths(backend, kind=kind):
+        if path not in supported_estimator_paths(kind):
             raise ConfigurationError(
-                f"estimator path {path!r} is not licensed for backend "
-                f"{backend!r} ({kind}); see the capability matrix in "
-                "repro.core.agreement"
+                f"estimator path {path!r} does not exist for {kind} "
+                f"families; expected one of {supported_estimator_paths(kind)}"
             )
         rendered = self._compute_cell(key)
         self._cells[key] = rendered
@@ -275,12 +279,7 @@ class GauntletResults:
         errors: list[float] = []
         n_degenerate = 0
         n_skipped = 0
-        estimator = MWorkerEstimator(
-            confidence=self.confidence,
-            backend=backend,
-            batch_triples=path == "batched",
-            batch_lemma4=path == "batched",
-        )
+        estimator = MWorkerEstimator(confidence=self.confidence, backend=backend)
         for _ in range(self.n_repetitions):
             if path == "streamed":
                 from repro.serve.session import replay_stream
@@ -425,10 +424,10 @@ def detect_gaps(
     families: Mapping[str, GauntletFamily] | Sequence[str] | None = None,
     backends: Sequence[str] | None = None,
 ) -> tuple[CellKey, ...]:
-    """Cells the registry x capability matrix demands but ``results`` lacks.
+    """Cells the registry x backends demand but ``results`` lacks.
 
-    By default the expectation is the **full** registry over the **full**
-    capability matrix — a gauntlet run restricted to a subset of families
+    By default the expectation is the **full** registry over **every**
+    backend — a gauntlet run restricted to a subset of families
     or backends is exactly what this pass exists to flag.  Pass
     ``families``/``backends`` to narrow the expectation deliberately (e.g.
     a smoke leg that skips nothing it claims to cover).

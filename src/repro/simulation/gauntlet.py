@@ -30,8 +30,8 @@ guarantees bend before they snap:
   against.
 
 :data:`GAUNTLET_FAMILIES` is the registry the gap-detection pass
-(:func:`repro.evaluation.gauntlet.detect_gaps`) enumerates against the
-backend capability matrix in :mod:`repro.core.agreement`.
+(:func:`repro.evaluation.gauntlet.detect_gaps`) enumerates against every
+backend and every estimator path of each family's kind.
 """
 
 from __future__ import annotations
@@ -360,10 +360,10 @@ class GauntletFamily:
     """One registered scenario family: a factory plus grid metadata.
 
     ``kind`` decides the estimator paths the gauntlet must cover for the
-    family ("binary" scenarios run every backend x estimator path the
-    capability matrix licenses; "kary" ones run the scalar A3 path per
-    backend), so registering a family here is what makes gap detection
-    demand cells for it.
+    family ("binary" scenarios run the batch and streamed paths on every
+    backend; "kary" ones run the batch A3 path per backend), so
+    registering a family here is what makes gap detection demand cells
+    for it.
     """
 
     name: str
@@ -377,8 +377,8 @@ class GauntletFamily:
 
 
 #: The registry the gauntlet's gap-detection pass enumerates.  Every family
-#: here x every (backend, estimator-path) cell the capability matrix in
-#: :mod:`repro.core.agreement` licenses must appear in a full gauntlet run.
+#: here x every backend x every estimator path of the family's kind must
+#: appear in a full gauntlet run.
 GAUNTLET_FAMILIES: dict[str, GauntletFamily] = {
     family.name: family
     for family in (

@@ -2,16 +2,16 @@
 
 The library promises that its performance knobs never change results: the
 ``backend=`` choice (dict-of-dicts vs dense NumPy vs scipy.sparse CSR vs
-packed-bitset low-memory), the batched per-triple stage
-(``batch_triples=``), the grouped Lemma-4/5 aggregation (``batch_lemma4=``)
-and the thread tier behind ``shards=`` (with its ``"auto"`` cost model) are
-throughput features only.  This suite enforces the promise end to end —
-every public entry point is run under every applicable execution path
-(dict / dense-scalar / dense-batched / batched-lemma4 / sparse / bitset,
-plus a thread-sharded column per vectorized backend) on randomized regular
-and non-regular matrices, and the produced intervals, weights and statuses
-are compared for *exact* floating-point equality against the original
-dict-of-dicts reference.
+packed-bitset low-memory) and the thread tier behind ``shards=`` (with its
+``"auto"`` cost model) are throughput features only.  The backend alone
+picks the Algorithm-A2 implementation: the dict backend runs the scalar
+reference loops, and every vectorized backend runs the batched triple stage
+plus the grouped Lemma-4/5 aggregation.  This suite enforces the promise
+end to end — every public entry point is run under every applicable
+execution path (dict / dense / sparse / bitset, plus a thread-sharded
+column per vectorized backend) on randomized regular and non-regular
+matrices, and the produced intervals, weights and statuses are compared for
+*exact* floating-point equality against the dict-of-dicts oracle.
 
 Any future fast path should be added to :data:`EVALUATE_ALL_PATHS` and
 :data:`TRIPLE_SCOPED_BACKENDS` (or the entry-point-specific lists below)
@@ -96,39 +96,12 @@ MATRIX_CASES = [
 #: others are compared against.
 EVALUATE_ALL_PATHS: dict[str, dict] = {
     "dict": {"backend": "dict"},
-    "dense-scalar": {
-        "backend": "dense", "batch_triples": False, "batch_lemma4": False,
-    },
-    "dense-batched": {
-        "backend": "dense", "batch_triples": True, "batch_lemma4": False,
-    },
-    "batched-lemma4": {
-        "backend": "dense", "batch_triples": True, "batch_lemma4": True,
-    },
-    "dense-sharded": {
-        "backend": "dense",
-        "batch_triples": True,
-        "batch_lemma4": True,
-        "shards": 2,
-    },
-    "sparse": {
-        "backend": "sparse", "batch_triples": True, "batch_lemma4": True,
-    },
-    "bitset": {
-        "backend": "bitset", "batch_triples": True, "batch_lemma4": True,
-    },
-    "sparse-sharded": {
-        "backend": "sparse",
-        "batch_triples": True,
-        "batch_lemma4": True,
-        "shards": 2,
-    },
-    "bitset-sharded": {
-        "backend": "bitset",
-        "batch_triples": True,
-        "batch_lemma4": True,
-        "shards": 2,
-    },
+    "dense": {"backend": "dense"},
+    "dense-sharded": {"backend": "dense", "shards": 2},
+    "sparse": {"backend": "sparse"},
+    "bitset": {"backend": "bitset"},
+    "sparse-sharded": {"backend": "sparse", "shards": 2},
+    "bitset-sharded": {"backend": "bitset", "shards": 2},
 }
 
 #: Backends exercised on the triple-scoped entry points (Algorithm A1/A3,

@@ -97,22 +97,3 @@ def test_sparse_and_bitset_fuzz_match_dict_reference():
                 filter_spammers(matrix, backend=backend).approximate_error_rates
                 == dict_proxies
             ), f"seed={seed} {backend} proxies"
-
-
-def test_sparse_and_bitset_fuzz_scalar_paths_match():
-    """A smaller sweep with the batched stages off: the scalar aggregation
-    reads per-pair statistics through the same backend interface and must
-    agree with the batched reads (both equal the dict reference)."""
-    for seed in range(10):
-        matrix = _ragged_matrix(seed)
-        reference = MWorkerEstimator(confidence=0.85, backend="dict").evaluate_all(
-            matrix
-        )
-        for backend in ("sparse", "bitset"):
-            candidate = MWorkerEstimator(
-                confidence=0.85,
-                backend=backend,
-                batch_triples=False,
-                batch_lemma4=False,
-            ).evaluate_all(matrix)
-            _assert_bit_identical(reference, candidate, f"seed={seed} {backend}")

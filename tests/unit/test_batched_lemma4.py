@@ -1,7 +1,7 @@
 """Unit tests for the grouped (cross-worker) Lemma-4/5 aggregation.
 
-The ``batch_lemma4=`` fast path groups workers by triple count, stacks
-their Lemma-4 covariance grids and runs Lemma 5 as one batched solve.  The
+Every vectorized backend groups workers by triple count, stacks their
+Lemma-4 covariance grids and runs Lemma 5 as one batched solve.  The
 cross-backend differential suite locks the path on randomized matrices;
 the tests here target the ragged shapes and numerical corners that suite
 cannot guarantee to hit: workers with 0/1 partners, groups of size 1,
@@ -62,12 +62,9 @@ def random_matrix(seed, n_workers, n_tasks, density=0.7, error=0.25):
 
 
 def paths(matrix, **kwargs):
-    reference = MWorkerEstimator(
-        backend="dense", batch_triples=True, batch_lemma4=False, **kwargs
-    ).evaluate_all(matrix)
-    candidate = MWorkerEstimator(
-        backend="dense", batch_triples=True, batch_lemma4=True, **kwargs
-    ).evaluate_all(matrix)
+    """The dict-oracle run and the grouped dense run, in that order."""
+    reference = MWorkerEstimator(backend="dict", **kwargs).evaluate_all(matrix)
+    candidate = MWorkerEstimator(backend="dense", **kwargs).evaluate_all(matrix)
     return reference, candidate
 
 
@@ -139,7 +136,7 @@ class TestRaggedShapes:
     def test_worker_range_subsets_match_full_run(self):
         """Shard-style subranges compose to the full batched run."""
         matrix = random_matrix(41, 10, 45)
-        estimator = MWorkerEstimator(backend="dense", batch_lemma4=True)
+        estimator = MWorkerEstimator(backend="dense")
         from repro.core.agreement import compute_agreement_statistics
 
         stats = compute_agreement_statistics(matrix, backend="dense")

@@ -112,16 +112,14 @@ class TestPartnerDegeneracies:
         results = {}
         for name, config in {
             "dict": {"backend": "dict"},
-            "scalar": {"backend": "dense", "batch_triples": False},
-            "batched": {"backend": "dense", "batch_triples": True},
+            "batched": {"backend": "dense"},
         }.items():
             results[name] = MWorkerEstimator(confidence=0.9, **config).evaluate_worker(
                 matrix, 0
             )
         assert results["dict"].status is EstimateStatus.DEGENERATE
-        for name in ("scalar", "batched"):
-            assert results[name].status is EstimateStatus.DEGENERATE
-            assert results[name].interval == results["dict"].interval
+        assert results["batched"].status is EstimateStatus.DEGENERATE
+        assert results["batched"].interval == results["dict"].interval
 
 
 class TestBoundaryAgreementColumns:

@@ -31,8 +31,6 @@ class TestParser:
         assert args.confidence == 0.9
         assert not args.remove_spammers
         assert args.shards == 1
-        assert not args.no_batch_triples
-        assert not args.no_batch_lemma4
 
     def test_figure_choices_cover_all_paper_figures(self):
         assert set(FIGURE_FUNCTIONS) == {
@@ -89,22 +87,6 @@ class TestEvaluateCommand:
             )
             assert capsys.readouterr().out == reference, spec
 
-    def test_evaluate_batch_knobs_pin_identical_paths(self, csv_dataset, capsys):
-        # The batch knobs are throughput-only: pinning the slow paths from
-        # the CLI must print the exact same table.
-        responses, gold = csv_dataset
-        assert main(["evaluate", str(responses), "--gold", str(gold)]) == 0
-        default_output = capsys.readouterr().out
-        for flags in (
-            ["--no-batch-lemma4"],
-            ["--no-batch-triples", "--no-batch-lemma4"],
-        ):
-            assert (
-                main(["evaluate", str(responses), "--gold", str(gold), *flags])
-                == 0
-            )
-            assert capsys.readouterr().out == default_output, flags
-
     def test_evaluate_backend_knob_pins_identical_tables(self, csv_dataset, capsys):
         # Every backend choice is throughput-only: pinning any of them from
         # the CLI must print the exact same table as the dict reference.
@@ -127,6 +109,17 @@ class TestEvaluateCommand:
         responses, _ = csv_dataset
         with pytest.raises(SystemExit):
             main(["evaluate", str(responses), "--backend", "gpu"])
+
+    @pytest.mark.parametrize("stage", ["batch-triples", "batch-lemma4"])
+    def test_evaluate_rejects_removed_batch_flags(self, csv_dataset, capsys, stage):
+        # The backend alone picks the implementation; the old path-pinning
+        # --no-<stage> flags are gone and fail as unknown arguments.
+        flag = f"--no-{stage}"
+        responses, _ = csv_dataset
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", str(responses), flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_evaluate_with_label_inference(self, csv_dataset, capsys):
         responses, gold = csv_dataset

@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+import repro.data.dense_backend as dense_backend_module
 from repro.core.agreement import AgreementStatistics, compute_agreement_statistics
 from repro.core.kary import KaryEstimator
 from repro.core.m_worker import MWorkerEstimator
@@ -78,19 +79,26 @@ class TestCountEquivalence:
                 *triple
             )
 
-    def test_triple_count_matrix_matches_popcounts(self, seed, m, n, arity, density):
+    def test_triple_count_matrix_matches_popcounts(
+        self, seed, m, n, arity, density, monkeypatch
+    ):
         matrix = random_matrix(seed, m, n, arity, density)
         backend = DenseAgreementBackend.from_matrix(matrix)
         worker = 0
         partners = [w for w in range(m) if w != worker]
-        grid = backend.triple_count_matrix(worker, partners)
-        for s, x in enumerate(partners):
-            for t, y in enumerate(partners):
-                if x == y:
-                    expected = matrix.n_common_tasks(worker, x)
-                else:
-                    expected = matrix.n_common_tasks(worker, x, y)
-                assert grid[s, t] == expected
+        grids = [backend.triple_count_matrix(worker, partners)]
+        # The float64 product that serves task counts above the float32
+        # exactness limit.
+        monkeypatch.setattr(dense_backend_module, "_FLOAT32_EXACT_TASK_LIMIT", 0)
+        grids.append(backend.triple_count_matrix(worker, partners))
+        for grid in grids:
+            for s, x in enumerate(partners):
+                for t, y in enumerate(partners):
+                    if x == y:
+                        expected = matrix.n_common_tasks(worker, x)
+                    else:
+                        expected = matrix.n_common_tasks(worker, x, y)
+                    assert grid[s, t] == expected
 
     def test_count_tensors_match(self, seed, m, n, arity, density):
         matrix = random_matrix(seed, m, n, arity, density)

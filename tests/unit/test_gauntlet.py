@@ -3,9 +3,9 @@
 Covers both halves: the scenario families in
 :mod:`repro.simulation.gauntlet` (each violation demonstrably induced) and
 the lazy report grid in :mod:`repro.evaluation.gauntlet` (cells computed
-only on first render, gap detection exhaustive against the capability
-matrix, collusion measurably degrading coverage against the independent
-control).
+only on first render, gap detection exhaustive over every backend and
+estimator path, collusion measurably degrading coverage against the
+independent control).
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.agreement import (
-    BACKEND_CAPABILITIES,
-    supported_estimator_paths,
-)
+from repro.core.agreement import supported_estimator_paths
 from repro.core.m_worker import MWorkerEstimator
 from repro.evaluation.gauntlet import (
+    GAUNTLET_BACKENDS,
     GauntletResults,
     detect_gaps,
     expected_cells,
@@ -170,16 +168,21 @@ class TestHighArity:
 
 
 class TestExpectedCells:
-    def test_grid_matches_capability_matrix(self):
+    def test_grid_matches_backends_and_kinds(self):
         cells = expected_cells()
         for name, family in GAUNTLET_FAMILIES.items():
-            for backend in BACKEND_CAPABILITIES:
-                for path in supported_estimator_paths(backend, kind=family.kind):
+            for backend in GAUNTLET_BACKENDS:
+                for path in supported_estimator_paths(family.kind):
                     assert (name, backend, path) in cells
-        # dict has no batched path; kary families only run scalar.
-        assert ("independent", "dict", "batched") not in cells
-        assert ("high-arity", "dense", "batched") not in cells
+        assert GAUNTLET_BACKENDS == ("dense", "dict", "sparse", "bitset")
+        # Paths depend on the family kind alone: every backend runs batch
+        # and streamed for binary families, batch only for k-ary ones.
+        assert ("independent", "dict", "batch") in cells
+        assert ("independent", "dict", "streamed") in cells
         assert ("high-arity", "dense", "streamed") not in cells
+        n_kary = sum(f.kind == "kary" for f in GAUNTLET_FAMILIES.values())
+        n_binary = len(GAUNTLET_FAMILIES) - n_kary
+        assert len(cells) == len(GAUNTLET_BACKENDS) * (2 * n_binary + n_kary)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -196,11 +199,11 @@ class TestGauntletResultsLaziness:
         # Construction and grid bookkeeping are free.
         assert results.n_computed_cells == 0
         assert len(results.cell_keys) > 0
-        cell = results.cell("independent", "dense", "scalar")
+        cell = results.cell("independent", "dense", "batch")
         assert results.n_computed_cells == 1
         # Memoized: re-reading the same cell computes nothing new and
         # returns the identical object.
-        assert results.cell("independent", "dense", "scalar") is cell
+        assert results.cell("independent", "dense", "batch") is cell
         assert results.n_computed_cells == 1
         # Gap detection only compares planned keys — still nothing new.
         assert results.gaps == ()
@@ -221,7 +224,7 @@ class TestGauntletResultsLaziness:
             seed=11,
             scenario_overrides=SMALL,
         )
-        one = direct.cell("drift", "dense", "batched")
+        one = direct.cell("drift", "dense", "batch")
         for other in full.rows():
             if other.key == one.key:
                 assert other.coverage == one.coverage
@@ -235,7 +238,7 @@ class TestGapDetection:
 
     def test_unplanned_family_flagged(self):
         # Deliberately drop a registered family from the run: every one of
-        # its capability-matrix cells must be flagged as untested.
+        # its cells must be flagged as untested.
         partial = {
             name: family
             for name, family in GAUNTLET_FAMILIES.items()
@@ -247,7 +250,7 @@ class TestGapDetection:
         gaps = detect_gaps(results)
         assert gaps
         assert all(family == "high-arity" for family, _, _ in gaps)
-        assert ("high-arity", "dense", "scalar") in gaps
+        assert ("high-arity", "dense", "batch") in gaps
 
     def test_unplanned_backend_flagged(self):
         results = GauntletResults(
@@ -304,7 +307,7 @@ class TestGauntletCoverage:
             seed=9,
             scenario_overrides={"high-arity": {"n_tasks": 80}},
         )
-        cell = results.cell("high-arity", "dense", "scalar")
+        cell = results.cell("high-arity", "dense", "batch")
         # 3 workers x arity^2 confusion cells per non-degenerate estimate.
         arity = results.scenario("high-arity").arity
         expected = (3 - cell.coverage.n_degenerate) * arity * arity
@@ -341,7 +344,7 @@ class TestGauntletCoverage:
     def test_unsupported_path_rejected(self):
         results = GauntletResults(n_repetitions=1, scenario_overrides=SMALL)
         with pytest.raises(ConfigurationError):
-            results.cell("independent", "dict", "batched")
+            results.cell("independent", "dict", "scalar")
         with pytest.raises(ConfigurationError):
             results.cell("high-arity", "dense", "streamed")
 

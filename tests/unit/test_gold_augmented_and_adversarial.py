@@ -138,18 +138,19 @@ class TestGoldAugmentedEvaluator:
         assert hits / total > 0.65
 
     def test_fast_path_knobs_are_bit_identical(self, rng):
-        """The fused evaluator threads backend/batch/shard knobs through to
-        the inner m-worker estimator; every path must fuse to bit-identical
-        intervals (the fast paths silently bypassed the fused mode before)."""
+        """The fused evaluator threads the backend knob through to the inner
+        m-worker estimator; every vectorized backend must fuse to intervals
+        bit-identical to the dict oracle (the fast paths silently bypassed
+        the fused mode before)."""
         population = BinaryWorkerPopulation.from_paper_palette(6, rng)
         matrix = population.generate(90, rng, densities=0.8)
         reference = GoldAugmentedEvaluator(
             confidence=0.9, backend="dict"
         ).evaluate_all(matrix)
         for config in (
-            {"backend": "dense", "batch_triples": False, "batch_lemma4": False},
-            {"backend": "dense", "batch_triples": True, "batch_lemma4": False},
-            {"backend": "dense", "batch_triples": True, "batch_lemma4": True},
+            {"backend": "dense"},
+            {"backend": "sparse"},
+            {"backend": "bitset"},
         ):
             candidate = GoldAugmentedEvaluator(
                 confidence=0.9, **config

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.agreement import compute_agreement_statistics
-from repro.core.pairing import form_triples, greedy_pairs, random_pairs
+from repro.core.pairing import (
+    form_triples,
+    greedy_pairs,
+    greedy_pairs_dense,
+    random_pairs,
+)
 from repro.core.weights import combined_variance, optimal_weights, uniform_weights
 from repro.data.response_matrix import ResponseMatrix
 from repro.exceptions import ConfigurationError
@@ -27,14 +32,76 @@ def build_matrix_with_overlaps() -> ResponseMatrix:
     return matrix
 
 
+def random_nonregular_matrix(seed: int) -> ResponseMatrix:
+    """Workers with per-worker densities from sparse to nearly full."""
+    rng = np.random.default_rng(seed)
+    n_workers = int(rng.integers(5, 14))
+    n_tasks = int(rng.integers(15, 60))
+    densities = rng.uniform(0.1, 0.9, size=n_workers)
+    matrix = ResponseMatrix(n_workers=n_workers, n_tasks=n_tasks)
+    for worker in range(n_workers):
+        for task in np.nonzero(rng.random(n_tasks) < densities[worker])[0]:
+            matrix.add_response(worker, int(task), int(rng.integers(0, 2)))
+    return matrix
+
+
+#: Every pairing implementation the estimator can run: the reference greedy
+#: scan on dict statistics, its array-read twin on dense statistics, and
+#: the seeded random ablation.
+PAIRING_CASES = {
+    "greedy-dict": lambda matrix, target, candidates, min_overlap, seed: (
+        greedy_pairs(
+            compute_agreement_statistics(matrix, backend="dict"),
+            target,
+            candidates,
+            min_overlap=min_overlap,
+        )
+    ),
+    "greedy-dense": lambda matrix, target, candidates, min_overlap, seed: (
+        greedy_pairs_dense(
+            compute_agreement_statistics(matrix, backend="dense").backend.common_counts,
+            target,
+            candidates,
+            min_overlap=min_overlap,
+        )
+    ),
+    "random": lambda matrix, target, candidates, min_overlap, seed: random_pairs(
+        compute_agreement_statistics(matrix, backend="dict"),
+        target,
+        candidates,
+        np.random.default_rng(seed),
+        min_overlap=min_overlap,
+    ),
+}
+
+
 class TestGreedyPairs:
-    def test_pairs_partition_candidates(self):
-        matrix = build_matrix_with_overlaps()
-        stats = compute_agreement_statistics(matrix)
-        pairs = greedy_pairs(stats, 0, [1, 2, 3, 4])
-        flattened = [worker for pair in pairs for worker in pair]
-        assert len(flattened) == len(set(flattened))
-        assert set(flattened).issubset({1, 2, 3, 4})
+    @pytest.mark.parametrize("case", sorted(PAIRING_CASES))
+    def test_pairs_partition_candidates(self, case):
+        # The vectorized Lemma-4 assembly relies on this invariant: each
+        # candidate is paired at most once, never with the target, and
+        # only where every member of the triple overlaps enough.
+        pair_up = PAIRING_CASES[case]
+        n_pairs = 0
+        for seed in range(12):
+            matrix = random_nonregular_matrix(seed)
+            stats = compute_agreement_statistics(matrix, backend="dict")
+            for min_overlap in (1, 4):
+                for target in range(matrix.n_workers):
+                    candidates = [
+                        w for w in range(matrix.n_workers) if w != target
+                    ]
+                    pairs = pair_up(matrix, target, candidates, min_overlap, seed)
+                    n_pairs += len(pairs)
+                    partners = [worker for pair in pairs for worker in pair]
+                    assert len(partners) == len(set(partners)), (seed, target)
+                    assert target not in partners, (seed, target)
+                    assert set(partners) <= set(candidates)
+                    for a, b in pairs:
+                        assert stats.common_count(target, a) >= min_overlap
+                        assert stats.common_count(target, b) >= min_overlap
+                        assert stats.common_count(a, b) >= min_overlap
+        assert n_pairs > 0
 
     def test_best_partner_paired_first(self):
         matrix = build_matrix_with_overlaps()

@@ -164,14 +164,7 @@ class TestResolveBackend:
         assert {"auto", "dense", "dict", "sparse", "bitset"} == set(BACKEND_CHOICES)
 
     def test_capability_flags(self):
-        # Every vectorized backend exports its state for durable snapshots;
-        # only the dict path (no backend object at all) has none.
-        from repro.core.agreement import BACKEND_CAPABILITIES
-
         matrix = random_matrix(10, 5, 20)
-        for name in ("dense", "sparse", "bitset"):
-            assert BACKEND_CAPABILITIES[name].shared_export, name
-        assert not BACKEND_CAPABILITIES["dict"].shared_export
         assert BitsetAgreementBackend(matrix).name == "bitset"
         assert SparseAgreementBackend.name == "sparse"
 
