@@ -57,19 +57,14 @@ def _run_baseline_comparison(
     }
 
 
-def bench_ablation_baselines(benchmark, bench_scale):
-    metrics = benchmark.pedantic(
-        _run_baseline_comparison,
-        kwargs={
-            "n_workers": 7,
-            "n_tasks": 150,
-            "density": 0.8,
-            "confidence": 0.8,
-            "n_repetitions": max(10, bench_scale["repetitions"] // 2),
-            "seed": 29,
-        },
-        rounds=1,
-        iterations=1,
+def bench_ablation_baselines(bench_scale):
+    metrics = _run_baseline_comparison(
+        n_workers=7,
+        n_tasks=150,
+        density=0.8,
+        confidence=0.8,
+        n_repetitions=max(10, bench_scale["repetitions"] // 2),
+        seed=29,
     )
     print()
     print("ablation: point-estimate quality and coverage vs baselines "

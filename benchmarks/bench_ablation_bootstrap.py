@@ -74,21 +74,16 @@ def _run_bootstrap_comparison(
     }
 
 
-def bench_ablation_bootstrap(benchmark, bench_scale):
+def bench_ablation_bootstrap(bench_scale):
     confidence = 0.8
-    summary = benchmark.pedantic(
-        _run_bootstrap_comparison,
-        kwargs={
-            "n_workers": 5,
-            "n_tasks": 100,
-            "density": 0.8,
-            "confidence": confidence,
-            "n_repetitions": max(5, bench_scale["repetitions"] // 8),
-            "n_resamples": 100,
-            "seed": 41,
-        },
-        rounds=1,
-        iterations=1,
+    summary = _run_bootstrap_comparison(
+        n_workers=5,
+        n_tasks=100,
+        density=0.8,
+        confidence=confidence,
+        n_repetitions=max(5, bench_scale["repetitions"] // 8),
+        n_resamples=100,
+        seed=41,
     )
     print()
     print("ablation: analytical (delta-method) intervals vs bootstrap "

@@ -57,18 +57,13 @@ def _run_label_quality(
     return {name: float(np.mean(values)) for name, values in accuracies.items()}
 
 
-def bench_ablation_label_quality(benchmark, bench_scale):
-    results = benchmark.pedantic(
-        _run_label_quality,
-        kwargs={
-            "n_workers": 7,
-            "n_tasks": 120,
-            "density": 0.8,
-            "n_repetitions": max(8, bench_scale["repetitions"] // 4),
-            "seed": 37,
-        },
-        rounds=1,
-        iterations=1,
+def bench_ablation_label_quality(bench_scale):
+    results = _run_label_quality(
+        n_workers=7,
+        n_tasks=120,
+        density=0.8,
+        n_repetitions=max(8, bench_scale["repetitions"] // 4),
+        seed=37,
     )
     print()
     print("ablation: task-label accuracy by aggregator "

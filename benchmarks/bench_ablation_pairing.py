@@ -54,19 +54,14 @@ def _run_pairing_ablation(
     return sweep
 
 
-def bench_ablation_pairing(benchmark, bench_scale):
+def bench_ablation_pairing(bench_scale):
     confidence = 0.8
-    sweep = benchmark.pedantic(
-        _run_pairing_ablation,
-        kwargs={
-            "n_workers": 9,
-            "n_tasks": 100,
-            "confidence": confidence,
-            "n_repetitions": bench_scale["repetitions"],
-            "seed": 23,
-        },
-        rounds=1,
-        iterations=1,
+    sweep = _run_pairing_ablation(
+        n_workers=9,
+        n_tasks=100,
+        confidence=confidence,
+        n_repetitions=bench_scale["repetitions"],
+        seed=23,
     )
     header, rows = series_to_rows(sweep)
     print()

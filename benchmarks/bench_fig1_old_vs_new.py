@@ -14,18 +14,13 @@ from conftest import emit
 from repro.evaluation.experiments import figure1_old_vs_new
 
 
-def bench_fig1_old_vs_new(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        figure1_old_vs_new,
-        kwargs={
-            "n_tasks": 100,
-            "worker_counts": (3, 7),
-            "confidence_grid": bench_scale["confidence_grid"],
-            "n_repetitions": bench_scale["repetitions"],
-            "seed": 0,
-        },
-        rounds=1,
-        iterations=1,
+def bench_fig1_old_vs_new(bench_scale):
+    result = figure1_old_vs_new(
+        n_tasks=100,
+        worker_counts=(3, 7),
+        confidence_grid=bench_scale["confidence_grid"],
+        n_repetitions=bench_scale["repetitions"],
+        seed=0,
     )
     emit(result)
 

@@ -11,18 +11,13 @@ from conftest import emit
 from repro.evaluation.experiments import figure2a_accuracy
 
 
-def bench_fig2a_accuracy(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        figure2a_accuracy,
-        kwargs={
-            "configurations": ((3, 100), (3, 300), (7, 100), (7, 300)),
-            "density": 0.8,
-            "confidence_grid": bench_scale["confidence_grid"],
-            "n_repetitions": bench_scale["repetitions"],
-            "seed": 1,
-        },
-        rounds=1,
-        iterations=1,
+def bench_fig2a_accuracy(bench_scale):
+    result = figure2a_accuracy(
+        configurations=((3, 100), (3, 300), (7, 100), (7, 300)),
+        density=0.8,
+        confidence_grid=bench_scale["confidence_grid"],
+        n_repetitions=bench_scale["repetitions"],
+        seed=1,
     )
     emit(result)
 

@@ -12,19 +12,14 @@ from conftest import emit
 from repro.evaluation.experiments import figure2b_density
 
 
-def bench_fig2b_density(benchmark, bench_scale):
+def bench_fig2b_density(bench_scale):
     densities = (0.5, 0.6, 0.7, 0.8, 0.9)
-    result = benchmark.pedantic(
-        figure2b_density,
-        kwargs={
-            "configurations": ((7, 100), (3, 300), (7, 300)),
-            "densities": densities,
-            "confidence": 0.8,
-            "n_repetitions": bench_scale["repetitions"],
-            "seed": 2,
-        },
-        rounds=1,
-        iterations=1,
+    result = figure2b_density(
+        configurations=((7, 100), (3, 300), (7, 300)),
+        densities=densities,
+        confidence=0.8,
+        n_repetitions=bench_scale["repetitions"],
+        seed=2,
     )
     emit(result)
 

@@ -13,18 +13,13 @@ from conftest import emit
 from repro.evaluation.experiments import figure2c_weight_optimization
 
 
-def bench_fig2c_weights(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        figure2c_weight_optimization,
-        kwargs={
-            "n_workers": 7,
-            "n_tasks": 100,
-            "confidence_grid": bench_scale["confidence_grid"],
-            "n_repetitions": bench_scale["repetitions"],
-            "seed": 3,
-        },
-        rounds=1,
-        iterations=1,
+def bench_fig2c_weights(bench_scale):
+    result = figure2c_weight_optimization(
+        n_workers=7,
+        n_tasks=100,
+        confidence_grid=bench_scale["confidence_grid"],
+        n_repetitions=bench_scale["repetitions"],
+        seed=3,
     )
     emit(result)
 

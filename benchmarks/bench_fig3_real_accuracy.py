@@ -14,16 +14,11 @@ from conftest import emit
 from repro.evaluation.experiments import figure3_real_data_accuracy
 
 
-def bench_fig3_real_accuracy(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        figure3_real_data_accuracy,
-        kwargs={
-            "datasets": ("ic", "rte", "tem"),
-            "confidence_grid": bench_scale["confidence_grid"],
-            "seed": 7,
-        },
-        rounds=1,
-        iterations=1,
+def bench_fig3_real_accuracy(bench_scale):
+    result = figure3_real_data_accuracy(
+        datasets=("ic", "rte", "tem"),
+        confidence_grid=bench_scale["confidence_grid"],
+        seed=7,
     )
     emit(result)
 

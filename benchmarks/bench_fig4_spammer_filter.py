@@ -17,16 +17,11 @@ from repro.evaluation.experiments import (
 )
 
 
-def bench_fig4_spammer_filter(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        figure4_spammer_filtered_accuracy,
-        kwargs={
-            "datasets": ("ic", "rte", "tem"),
-            "confidence_grid": bench_scale["confidence_grid"],
-            "seed": 7,
-        },
-        rounds=1,
-        iterations=1,
+def bench_fig4_spammer_filter(bench_scale):
+    result = figure4_spammer_filtered_accuracy(
+        datasets=("ic", "rte", "tem"),
+        confidence_grid=bench_scale["confidence_grid"],
+        seed=7,
     )
     emit(result)
 

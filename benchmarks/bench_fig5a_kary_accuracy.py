@@ -14,18 +14,13 @@ from conftest import emit
 from repro.evaluation.experiments import figure5a_kary_accuracy
 
 
-def bench_fig5a_kary_accuracy(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        figure5a_kary_accuracy,
-        kwargs={
-            "arities": (2, 3, 4),
-            "task_counts": (100, 1000),
-            "confidence_grid": bench_scale["confidence_grid"],
-            "n_repetitions": bench_scale["kary_repetitions"],
-            "seed": 11,
-        },
-        rounds=1,
-        iterations=1,
+def bench_fig5a_kary_accuracy(bench_scale):
+    result = figure5a_kary_accuracy(
+        arities=(2, 3, 4),
+        task_counts=(100, 1000),
+        confidence_grid=bench_scale["confidence_grid"],
+        n_repetitions=bench_scale["kary_repetitions"],
+        seed=11,
     )
     emit(result)
 

@@ -12,20 +12,15 @@ from conftest import emit
 from repro.evaluation.experiments import figure5b_kary_density
 
 
-def bench_fig5b_kary_density(benchmark, bench_scale):
+def bench_fig5b_kary_density(bench_scale):
     densities = (0.5, 0.7, 0.9)
-    result = benchmark.pedantic(
-        figure5b_kary_density,
-        kwargs={
-            "arities": (2, 3, 4),
-            "densities": densities,
-            "n_tasks": 500,
-            "confidence": 0.8,
-            "n_repetitions": bench_scale["kary_repetitions"],
-            "seed": 13,
-        },
-        rounds=1,
-        iterations=1,
+    result = figure5b_kary_density(
+        arities=(2, 3, 4),
+        densities=densities,
+        n_tasks=500,
+        confidence=0.8,
+        n_repetitions=bench_scale["kary_repetitions"],
+        seed=13,
     )
     emit(result)
 

@@ -14,17 +14,12 @@ from conftest import emit
 from repro.evaluation.experiments import figure5c_kary_real_data
 
 
-def bench_fig5c_kary_real(benchmark, bench_scale):
-    result = benchmark.pedantic(
-        figure5c_kary_real_data,
-        kwargs={
-            "datasets": ("mooc", "wsd", "ws"),
-            "confidence_grid": bench_scale["confidence_grid"],
-            "n_triples": bench_scale["n_triples"],
-            "seed": 17,
-        },
-        rounds=1,
-        iterations=1,
+def bench_fig5c_kary_real(bench_scale):
+    result = figure5c_kary_real_data(
+        datasets=("mooc", "wsd", "ws"),
+        confidence_grid=bench_scale["confidence_grid"],
+        n_triples=bench_scale["n_triples"],
+        seed=17,
     )
     emit(result)
 

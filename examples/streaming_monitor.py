@@ -18,7 +18,6 @@ import numpy as np
 from repro.core import IncrementalEvaluator
 from repro.simulation import BinaryWorkerPopulation
 from repro.types import EstimateStatus
-from repro.workforce import Decision, IntervalFiringPolicy
 
 THRESHOLD = 0.25
 CONFIDENCE = 0.9
@@ -40,7 +39,6 @@ def main() -> None:
     evaluator = IncrementalEvaluator(
         n_workers=N_WORKERS, n_tasks=N_TASKS, confidence=CONFIDENCE
     )
-    policy = IntervalFiringPolicy(max_error_rate=THRESHOLD)
     decided: dict[int, str] = {}
 
     print(
@@ -61,10 +59,9 @@ def main() -> None:
             interval = estimate.interval
             verdict = decided.get(worker, "")
             if not verdict:
-                decision = policy.decide(estimate)
-                if decision is Decision.FIRE:
+                if interval.lower > THRESHOLD:
                     decided[worker] = verdict = "FIRE (confidently above threshold)"
-                elif decision is Decision.CLEARED:
+                elif interval.upper <= THRESHOLD:
                     decided[worker] = verdict = "cleared (confidently good)"
             print(
                 f"  worker {worker}: [{interval.lower:.3f}, {interval.upper:.3f}] "

@@ -31,7 +31,6 @@ from repro.types import (
 )
 from repro.exceptions import (
     ConfigurationError,
-    ConvergenceError,
     CrowdAssessmentError,
     DataValidationError,
     DegenerateEstimateError,
@@ -60,7 +59,6 @@ __all__ = [
     "DataValidationError",
     "InsufficientDataError",
     "DegenerateEstimateError",
-    "ConvergenceError",
     "ConfigurationError",
     # data
     "ResponseMatrix",

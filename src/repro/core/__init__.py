@@ -35,7 +35,6 @@ from repro.core.task_inference import (
     label_accuracy,
 )
 from repro.core.incremental import IncrementalEvaluator
-from repro.core.gold_augmented import GoldAugmentedEvaluator, combine_estimates
 from repro.core.estimator import WorkerEvaluator, evaluate_workers, evaluate_kary_workers
 
 __all__ = [
@@ -62,8 +61,6 @@ __all__ = [
     "infer_kary_labels",
     "label_accuracy",
     "IncrementalEvaluator",
-    "GoldAugmentedEvaluator",
-    "combine_estimates",
     "WorkerEvaluator",
     "evaluate_workers",
     "evaluate_kary_workers",

@@ -42,12 +42,6 @@ class DegenerateEstimateError(CrowdAssessmentError):
     """
 
 
-class ConvergenceError(CrowdAssessmentError):
-    """Raised when an iterative procedure (e.g. Dawid-Skene EM) fails to
-    converge within the configured iteration budget and the caller asked for
-    strict behaviour."""
-
-
 class ConfigurationError(CrowdAssessmentError):
     """Raised when an estimator or experiment is configured inconsistently
     (e.g. a confidence level outside (0, 1), a negative density)."""

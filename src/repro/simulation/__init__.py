@@ -25,7 +25,6 @@ from repro.simulation.density import (
     per_worker_density_ramp,
     attempt_mask,
 )
-from repro.simulation.adversarial import AdversarialPopulation
 from repro.simulation.scenarios import (
     SimulationScenario,
     paper_binary_scenario,
@@ -56,7 +55,6 @@ __all__ = [
     "uniform_density",
     "per_worker_density_ramp",
     "attempt_mask",
-    "AdversarialPopulation",
     "SimulationScenario",
     "paper_binary_scenario",
     "paper_kary_scenario",

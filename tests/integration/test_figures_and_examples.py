@@ -103,7 +103,7 @@ class TestFigureFunctions:
 
 @pytest.mark.parametrize(
     "script",
-    ["quickstart.py", "worker_screening.py", "kary_peer_grading.py", "streaming_monitor.py"],
+    ["quickstart.py", "kary_peer_grading.py", "streaming_monitor.py"],
 )
 def test_example_scripts_run(script):
     """Each example executes successfully and prints something meaningful."""

@@ -8,10 +8,10 @@ from repro.core.agreement import AgreementStatistics, compute_agreement_statisti
 from repro.data.response_matrix import ResponseMatrix
 from repro.exceptions import (
     ConfigurationError,
-    ConvergenceError,
     CrowdAssessmentError,
     DataValidationError,
     DegenerateEstimateError,
+    DurableStateError,
     InsufficientDataError,
 )
 
@@ -72,8 +72,8 @@ class TestExceptionHierarchy:
             DataValidationError,
             InsufficientDataError,
             DegenerateEstimateError,
-            ConvergenceError,
             ConfigurationError,
+            DurableStateError,
         ],
     )
     def test_all_derive_from_base(self, exception_type):

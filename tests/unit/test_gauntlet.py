@@ -106,6 +106,49 @@ class TestCollusionScenario:
                 name="x", n_workers=5, n_tasks=10, arity=2, ring_size=1
             )
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"ring_size": 6},
+            {"collusion_strength": 0.0},
+            {"collusion_strength": 1.5},
+            {"leader_error_rate": 0.0},
+            {"leader_error_rate": 0.5},
+        ],
+        ids=[
+            "ring-larger-than-crowd",
+            "zero-strength",
+            "strength-above-one",
+            "zero-leader-rate",
+            "leader-rate-at-half",
+        ],
+    )
+    def test_parameter_validation(self, override):
+        with pytest.raises(ConfigurationError):
+            CollusionScenario(
+                name="x", n_workers=5, n_tasks=10, arity=2, **override
+            )
+
+    def test_reported_marginal_rates_match_generated_answers(self, rng):
+        # Half-strength ring: each member's marginal rate mixes the
+        # leader's rate with its own, and that mixture is the truth the
+        # intervals are scored against.
+        scenario = CollusionScenario(
+            name="collusion-marginals",
+            n_workers=6,
+            n_tasks=3000,
+            arity=2,
+            ring_size=3,
+            collusion_strength=0.5,
+            leader_error_rate=0.3,
+        )
+        matrix, truth = scenario.sample(rng)
+        assert truth[0] == 0.3
+        for worker in range(scenario.n_workers):
+            assert matrix.empirical_error_rate(worker) == pytest.approx(
+                truth[worker], abs=0.04
+            )
+
 
 class TestRevisionStormScenario:
     def test_stream_settles_to_sampled_matrix(self, rng):

@@ -14,7 +14,6 @@ import pytest
 import repro.core.parallel as parallel_module
 from repro.core.agreement import compute_agreement_statistics
 from repro.core.estimator import WorkerEvaluator
-from repro.core.gold_augmented import GoldAugmentedEvaluator
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.m_worker import MWorkerEstimator
 from repro.core.parallel import (
@@ -79,12 +78,11 @@ class TestParseShardSpec:
             parse_shard_spec(spec)
 
 
-@pytest.mark.parametrize(
+ENTRY_POINTS = pytest.mark.parametrize(
     "build",
     [
         lambda spec: MWorkerEstimator(shards=spec),
         lambda spec: WorkerEvaluator(shards=spec),
-        lambda spec: GoldAugmentedEvaluator(shards=spec),
         lambda spec: IncrementalEvaluator(3, 4, shards=spec),
         lambda spec: SessionConfig(shards=spec),
         lambda spec: filter_spammers(build_matrix(), shards=spec),
@@ -92,15 +90,25 @@ class TestParseShardSpec:
     ids=[
         "MWorkerEstimator",
         "WorkerEvaluator",
-        "GoldAugmentedEvaluator",
         "IncrementalEvaluator",
         "SessionConfig",
         "filter_spammers",
     ],
 )
+
+
+@ENTRY_POINTS
 def test_every_entry_point_rejects_prefixed_specs(build):
     with pytest.raises(ConfigurationError):
         build("process:2")
+
+
+@ENTRY_POINTS
+@pytest.mark.parametrize("spec", [0, -1, True, 2.5])
+def test_every_entry_point_rejects_malformed_specs(build, spec):
+    # Rejected when the entry point is built, before any data is seen.
+    with pytest.raises(ConfigurationError):
+        build(spec)
 
 
 class TestAutoShardChoice:

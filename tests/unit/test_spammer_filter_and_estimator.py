@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import WorkerEvaluator, evaluate_kary_workers, evaluate_workers
+from repro.core.m_worker import evaluate_all_workers
 from repro.core.spammer_filter import filter_spammers
 from repro.data.response_matrix import ResponseMatrix
 from repro.exceptions import ConfigurationError, InsufficientDataError
 from repro.simulation.binary import BinaryWorkerPopulation
+from repro.simulation.gauntlet import CollusionScenario
 from repro.types import KaryWorkerEstimate, WorkerErrorEstimate
 
 
@@ -131,3 +133,44 @@ class TestWorkerEvaluator:
                 [abs(results[w].interval.mean - rates[w]) for w in results if w != 4]
             )
         assert mean_abs_error(filtered) <= mean_abs_error(plain) + 0.03
+
+
+class TestViolatedAssumptions:
+    def test_honest_worker_coverage_despite_spammers(self, rng):
+        """Honest workers' intervals should still usually cover their error
+        rates when the spammer filter is applied first."""
+        population = BinaryWorkerPopulation(
+            error_rates=[0.1, 0.15, 0.2, 0.25, 0.1, 0.5, 0.5]
+        )
+        hits = total = 0
+        for _ in range(10):
+            matrix = population.generate(150, rng, densities=0.9)
+            estimates = WorkerEvaluator(
+                confidence=0.8, remove_spammers=True
+            ).evaluate_binary(matrix)
+            for worker in range(5):  # honest workers only
+                if worker not in estimates:
+                    continue
+                total += 1
+                hits += estimates[worker].interval.contains(
+                    population.error_rates[worker]
+                )
+        assert total > 0
+        assert hits / total > 0.6
+
+    def test_intervals_remain_valid_under_collusion(self, rng):
+        """With assumption violations the intervals may lose coverage, but the
+        estimator must stay numerically well-behaved (the robustness the
+        paper's real-data section claims)."""
+        scenario = CollusionScenario(
+            name="collusion",
+            n_workers=7,
+            n_tasks=150,
+            densities=np.full(7, 0.9),
+            ring_size=2,
+        )
+        matrix, _ = scenario.sample(rng)
+        estimates = evaluate_all_workers(matrix, confidence=0.8)
+        assert len(estimates) == scenario.n_workers
+        for est in estimates:
+            assert 0.0 <= est.interval.lower <= est.interval.upper <= 1.0
