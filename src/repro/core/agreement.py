@@ -80,9 +80,9 @@ adding a backend (or a family) makes an untested combination loud, not
 invisible.
 
 The *shared export* column serves durable snapshots only: the backend
-can export its precomputed state (packed planes, count matrices, vote
-table, triple tensor where cached) by name and rebuild itself from those
-arrays
+can export its delta-patched state (packed planes, count matrices, vote
+table; not the triple tensor, which the next batch would drop) by name and
+rebuild itself from those arrays
 (:meth:`~repro.data.dense_backend.AgreementBackendBase.export_shared_state`
 / ``attach_shared_state``), which is what the *durability* column's
 snapshots persist.  The *executor tiers* column lists which

@@ -463,7 +463,7 @@ class IncrementalEvaluator:
         The arrays are the response records and gold labels of the matrix
         plus — when a vectorized backend is live — its full
         ``export_shared_state()`` payload (packed planes, count matrices,
-        vote table, dense triple tensor where cacheable) under
+        vote table; never the dense triple tensor) under
         ``backend.``-prefixed keys, so :meth:`from_state` restores the
         derived caches without rebuilding any count.  Clean cached
         estimates whose dependencies live in the ledger are persisted too

@@ -21,7 +21,8 @@ provides the vectorized alternatives behind one interface:
   on per-worker row accessors;
 * :class:`DenseAgreementBackend` — dense indicator/label arrays; **all**
   pairwise counts in one boolean matrix product (O(m^2 n) flops, in BLAS),
-  triple counts from packed bitset rows or masked matrix products;
+  triple counts from packed bitset rows, masked matrix products or a
+  cached tensor built over each worker's own tasks;
 * :class:`~repro.data.sparse_backend.SparseAgreementBackend` — scipy.sparse
   CSR matmuls for the pairwise counts (work scales with the observed fill,
   not with m*n) over bitset-only row storage;
@@ -428,9 +429,9 @@ class AgreementBackendBase:
         """Every precomputed array, keyed for :meth:`attach_shared_state`.
 
         Materializes the precomputed state (storage planes, count matrices,
-        vote table, the triple tensor where cached) and returns the arrays
-        by name.  Keys are backend-specific; the only contract is that
-        ``attach_shared_state`` of the same class understands them.
+        vote table) and returns the arrays by name.  Keys are
+        backend-specific; the only contract is that ``attach_shared_state``
+        of the same class understands them.
 
         The durable streaming layer (:mod:`repro.serve.durable`) persists
         these arrays as its snapshot payload (prefixed ``backend.`` in the
@@ -688,6 +689,7 @@ class DenseAgreementBackend(AgreementBackendBase):
     * ``agreement_counts``: the ``(m, m)`` pairwise agreement counts (one
       matmul per label value);
     * packed bitset rows for popcount-based triple counts;
+    * the ``(m, m, m)`` triple-count tensor (:meth:`triple_count_tensor`);
     * the ``(n, arity)`` per-task vote table for the spammer filter.
 
     All counts are exact integers; see the module docstring for why the
@@ -778,13 +780,17 @@ class DenseAgreementBackend(AgreementBackendBase):
     # ------------------------------------------------------------------ #
 
     def export_shared_state(self) -> dict[str, np.ndarray]:
-        """Storage, count matrices, packed rows, votes and (when cached
-        or cacheable) the triple tensor — everything a restore would
-        otherwise rebuild.  Materializes lazily-built state as a side
-        effect, which is the point: pay each build once at export instead
-        of once per restore.
+        """Storage, count matrices, packed rows and votes — the state every
+        delta update patches in place, so a restore would otherwise rebuild
+        it.  Materializes lazily-built state as a side effect, which is the
+        point: pay each build once at export instead of once per restore.
+
+        The triple tensor is not exported: the next statistic-changing
+        batch drops it anyway, and a warm resume serves cached estimates
+        without it.  Snapshots that still carry a ``triple_tensor`` array
+        resume with it ignored.
         """
-        exports = {
+        return {
             "attempts": self._attempts,
             "labels": self._labels,
             "common": self.common_counts,
@@ -792,10 +798,6 @@ class DenseAgreementBackend(AgreementBackendBase):
             "packed": self._packed_rows,
             "task_votes": self.task_votes,
         }
-        tensor = self.triple_count_tensor()
-        if tensor is not None:
-            exports["triple_tensor"] = tensor
-        return exports
 
     @classmethod
     def attach_shared_state(
@@ -815,7 +817,6 @@ class DenseAgreementBackend(AgreementBackendBase):
         )
         self._packed = arrays["packed"]
         self._task_votes = arrays["task_votes"]
-        self._triple_tensor = arrays.get("triple_tensor")
         return self
 
     # ------------------------------------------------------------------ #
@@ -938,9 +939,12 @@ class DenseAgreementBackend(AgreementBackendBase):
         the full symmetry of the counts: worker ``w``'s rows for partners
         ``x < w`` are copied from the already-computed grids
         (``C[w, x, y] = C[x, w, y]``), and only the ``x, y >= w`` block is
-        computed fresh — a masked product over the suffix rows.  That takes
-        the total work from ``m`` full ``m x n`` products down to the
-        triangular third, while every entry stays the exact integer count
+        computed fresh.  Only the tasks ``w`` attempted can count towards
+        ``c_{w,x,y}``, so that block is the product of the suffix
+        workers' attempt columns restricted to those tasks: worker ``w``'s
+        product has ``fill * n`` rows instead of ``n``, and the whole build
+        costs about ``fill`` times the triangular third of ``m`` full
+        ``m x n`` products.  Every entry stays the exact integer count
         (float32 products of 0/1 matrices are exact up to 2^24 tasks, and
         copies are copies).
 
@@ -956,9 +960,9 @@ class DenseAgreementBackend(AgreementBackendBase):
         if self._triple_tensor is not None:
             return self._triple_tensor
         m = self._n_workers
-        attempts_f32 = self._attempts_as_f32
-        if attempts_f32 is None:
-            attempts_f32 = self._attempts.astype(np.float32)
+        # Task-major attempts (1 byte a cell): a worker's task set gathers
+        # contiguous rows.
+        by_task = np.ascontiguousarray(self._attempts.T)
         tensor = np.empty((m, m, m), dtype=np.float32)
         for worker in range(m):
             grid = tensor[worker]
@@ -966,8 +970,9 @@ class DenseAgreementBackend(AgreementBackendBase):
                 # Rows for already-processed partners, by symmetry in the
                 # first two indices.
                 grid[:worker, :] = tensor[:worker, worker, :]
-            masked = attempts_f32[worker:] * attempts_f32[worker]
-            grid[worker:, worker:] = masked @ masked.T
+            tasks = np.flatnonzero(self._attempts[worker])
+            sub = by_task[tasks, worker:].astype(np.float32)
+            grid[worker:, worker:] = sub.T @ sub
             if worker:
                 # Mirror the remaining block, by symmetry in the partners.
                 grid[worker:, :worker] = grid[:worker, worker:].T

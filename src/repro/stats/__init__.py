@@ -15,7 +15,6 @@ from repro.stats.normal import (
 from repro.stats.intervals import (
     wald_interval,
     wilson_interval,
-    clopper_pearson_interval,
 )
 from repro.stats.covariance import (
     bernoulli_variance,
@@ -39,7 +38,6 @@ __all__ = [
     "two_sided_z",
     "wald_interval",
     "wilson_interval",
-    "clopper_pearson_interval",
     "bernoulli_variance",
     "sample_covariance",
     "nearest_positive_semidefinite",

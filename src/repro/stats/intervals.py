@@ -15,7 +15,7 @@ from repro.exceptions import ConfigurationError
 from repro.stats.normal import two_sided_z
 from repro.types import ConfidenceInterval
 
-__all__ = ["wald_interval", "wilson_interval", "clopper_pearson_interval"]
+__all__ = ["wald_interval", "wilson_interval"]
 
 
 def _validate(successes: int, trials: int, confidence: float) -> None:
@@ -72,46 +72,6 @@ def wilson_interval(
         mean=centre,
         lower=max(0.0, centre - spread),
         upper=min(1.0, centre + spread),
-        confidence=confidence,
-        deviation=deviation,
-    )
-
-
-def clopper_pearson_interval(
-    successes: int, trials: int, confidence: float
-) -> ConfidenceInterval:
-    """Exact (Clopper-Pearson) interval based on the Beta distribution.
-
-    Guaranteed coverage at the cost of being conservative; used in tests as
-    an upper-bound sanity check on the other intervals.  The Beta quantile
-    comes from scipy, imported lazily so the rest of the module (and the
-    Wald/Wilson intervals every estimator path uses) works without the
-    ``repro[sparse]`` extra installed.
-    """
-    _validate(successes, trials, confidence)
-    try:
-        from scipy import stats as _scipy_stats
-    except ImportError as error:  # pragma: no cover - scipy-less leg
-        raise ConfigurationError(
-            "clopper_pearson_interval requires scipy (install repro[sparse])"
-        ) from error
-    alpha = 1.0 - confidence
-    p_hat = successes / trials
-    if successes == 0:
-        lower = 0.0
-    else:
-        lower = float(_scipy_stats.beta.ppf(alpha / 2.0, successes, trials - successes + 1))
-    if successes == trials:
-        upper = 1.0
-    else:
-        upper = float(
-            _scipy_stats.beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes)
-        )
-    deviation = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / trials)
-    return ConfidenceInterval(
-        mean=p_hat,
-        lower=lower,
-        upper=upper,
         confidence=confidence,
         deviation=deviation,
     )

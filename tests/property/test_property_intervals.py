@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.delta_method import DeltaMethodModel, confidence_interval_from_moments
-from repro.stats.intervals import clopper_pearson_interval, wald_interval, wilson_interval
+from repro.stats.intervals import wald_interval, wilson_interval
 from repro.stats.normal import normal_cdf, normal_quantile, two_sided_z
 
 confidences = st.floats(min_value=0.01, max_value=0.99)
@@ -54,7 +54,7 @@ def test_two_sided_z_consistent_with_tail_mass(confidence):
 )
 def test_binomial_intervals_contain_point_estimate(successes, extra, confidence):
     trials = successes + extra
-    for interval_fn in (wald_interval, wilson_interval, clopper_pearson_interval):
+    for interval_fn in (wald_interval, wilson_interval):
         interval = interval_fn(successes, trials, confidence)
         assert 0.0 <= interval.lower <= interval.upper <= 1.0
         assert interval.lower - 1e-9 <= successes / trials <= interval.upper + 1e-9

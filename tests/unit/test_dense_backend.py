@@ -227,6 +227,124 @@ class TestDeltaUpdates:
             )
 
 
+def brute_force_triple_counts(attempts: np.ndarray) -> np.ndarray:
+    """``c_ijk`` straight from the definition: one sum over tasks."""
+    indicator = attempts.astype(np.int64)
+    return np.einsum("it,jt,kt->ijk", indicator, indicator, indicator)
+
+
+def random_attempts(seed: int, m: int, n: int, fill: float) -> np.ndarray:
+    return np.random.default_rng(seed).random((m, n)) < fill
+
+
+def backend_over(attempts: np.ndarray) -> DenseAgreementBackend:
+    labels = np.where(attempts, 1, -1).astype(np.int16)
+    return DenseAgreementBackend.from_arrays(attempts, labels, 2)
+
+
+class TestTripleCountTensor:
+    """The tensor builds each worker's block over only the tasks that worker
+    attempted; every cell must still be the exact ``c_ijk``."""
+
+    @staticmethod
+    def assert_exact(backend: DenseAgreementBackend, attempts: np.ndarray) -> None:
+        tensor = backend.triple_count_tensor()
+        assert tensor is not None
+        assert tensor.dtype == np.float32
+        assert np.array_equal(tensor, brute_force_triple_counts(attempts))
+
+    @pytest.mark.parametrize("fill", [0.02, 0.25, 0.6, 0.95])
+    @pytest.mark.parametrize("seed, m, n", [(0, 9, 70), (1, 17, 40), (2, 4, 200)])
+    def test_random_fills_match_brute_force(self, seed, m, n, fill):
+        attempts = random_attempts(seed, m, n, fill)
+        self.assert_exact(backend_over(attempts), attempts)
+
+    def test_worker_with_no_tasks_and_worker_with_every_task(self):
+        attempts = random_attempts(3, 8, 50, 0.4)
+        attempts[2] = False
+        attempts[5] = True
+        self.assert_exact(backend_over(attempts), attempts)
+
+    def test_first_and_last_workers_empty_or_full(self):
+        for first, last in [(False, True), (True, False), (False, False)]:
+            attempts = random_attempts(4, 6, 30, 0.5)
+            attempts[0] = first
+            attempts[-1] = last
+            self.assert_exact(backend_over(attempts), attempts)
+
+    def test_task_nobody_attempted(self):
+        attempts = random_attempts(5, 7, 40, 0.5)
+        attempts[:, [0, 17, 39]] = False
+        self.assert_exact(backend_over(attempts), attempts)
+
+    def test_nobody_attempted_anything(self):
+        attempts = np.zeros((5, 12), dtype=bool)
+        self.assert_exact(backend_over(attempts), attempts)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_and_two_workers(self, m):
+        for fill in (0.0, 0.5, 1.0):
+            attempts = random_attempts(6 + m, m, 25, fill)
+            self.assert_exact(backend_over(attempts), attempts)
+
+    def test_from_matrix_matches_brute_force(self):
+        matrix = random_matrix(7, 8, 45, density=0.7)
+        backend = DenseAgreementBackend.from_matrix(matrix)
+        attempts = np.zeros((8, 45), dtype=bool)
+        for worker, task, _label in matrix.iter_responses():
+            attempts[worker, task] = True
+        self.assert_exact(backend, attempts)
+
+    def test_adopted_arrays_in_any_memory_layout(self):
+        """``from_arrays`` adopts arrays as given: Fortran order and strided
+        views must count the same as a C-ordered copy."""
+        base = random_attempts(8, 12, 90, 0.45)
+        for attempts in (np.asfortranarray(base[:, :45]), base[::2, ::2]):
+            self.assert_exact(backend_over(attempts), np.ascontiguousarray(attempts))
+
+    def test_attach_shared_state_over_exported_copies(self):
+        attempts = random_attempts(9, 10, 60, 0.35)
+        exported = backend_over(attempts).export_shared_state()
+        attached = DenseAgreementBackend.attach_shared_state(
+            {key: array.copy() for key, array in exported.items()},
+            n_workers=10,
+            n_tasks=60,
+            arity=2,
+        )
+        assert attached._triple_tensor is None
+        self.assert_exact(attached, attempts)
+
+    def test_rebuilt_after_a_batch_of_new_attempts(self):
+        attempts = random_attempts(10, 6, 30, 0.3)
+        backend = backend_over(attempts.copy())
+        assert backend.triple_count_tensor() is not None
+        fresh = np.argwhere(~attempts)[:12]
+        backend.apply_responses([(int(w), int(t), 1, None) for w, t in fresh])
+        assert backend._triple_tensor is None
+        attempts[fresh[:, 0], fresh[:, 1]] = True
+        self.assert_exact(backend, attempts)
+
+    def test_none_above_the_tensor_cell_limit(self, monkeypatch):
+        backend = backend_over(random_attempts(11, 6, 20, 0.5))
+        monkeypatch.setattr(
+            DenseAgreementBackend, "_TRIPLE_TENSOR_CELL_LIMIT", 6**3 - 1
+        )
+        assert backend.triple_count_tensor() is None
+        assert backend._triple_tensor is None
+
+    def test_none_above_the_float32_exact_task_limit(self, monkeypatch):
+        attempts = random_attempts(12, 5, 20, 0.5)
+        backend = backend_over(attempts)
+        monkeypatch.setattr(dense_backend_module, "_FLOAT32_EXACT_TASK_LIMIT", 19)
+        assert backend.triple_count_tensor() is None
+        # The per-worker fallback (float64 above the limit) stays exact.
+        expected = brute_force_triple_counts(attempts)
+        for worker in range(5):
+            grid = backend.triple_count_grid_full(worker)
+            assert grid.dtype == np.float64
+            assert np.array_equal(grid, expected[worker])
+
+
 class TestResolveBackend:
     def test_choices(self):
         matrix = random_matrix(0, 4, 10)

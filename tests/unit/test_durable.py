@@ -411,6 +411,48 @@ class TestEvaluatorStateRoundTrip:
         assert_bit_identical(restored.estimate_all(), restored.matrix)
 
 
+class TestSnapshotsSkipTheTripleTensor:
+    """The dense triple tensor is neither built nor persisted by a snapshot:
+    the next statistic-changing batch would drop it, and a warm resume serves
+    cached estimates without it.  Older snapshots that carry it resume with
+    the array ignored."""
+
+    def test_export_after_a_batch_neither_builds_nor_exports_it(self):
+        events = make_stream(120, 7, 18, seed=51)
+        evaluator = IncrementalEvaluator(3, 1, backend="dense")
+        evaluator.apply_batch(events[:80], auto_extend=True)
+        evaluator.estimate_all()
+        backend = evaluator._backend
+        assert backend._triple_tensor is not None  # the read cached it
+        evaluator.apply_batch(events[80:], auto_extend=True)
+        meta, arrays = evaluator.export_state()
+        assert backend._triple_tensor is None
+        assert "backend.triple_tensor" not in arrays
+        restored = IncrementalEvaluator.from_state(meta, arrays)
+        assert restored._backend._triple_tensor is None
+        assert_bit_identical(restored.estimate_all(), restored.matrix)
+
+    @pytest.mark.parametrize(
+        "snapshot", ["snapshot-000000000215.snap", "snapshot-000000000246.snap"]
+    )
+    def test_legacy_snapshot_carrying_it_resumes_bit_identically(
+        self, legacy_layout, snapshot
+    ):
+        fixture = legacy_layout("snapshotted")
+        meta, arrays = load_snapshot_file(fixture.directory / snapshot)
+        recorded = arrays["backend.triple_tensor"]
+        restored = IncrementalEvaluator.from_state(meta, arrays)
+        backend = restored._backend
+        assert backend.name == "dense"
+        assert backend._triple_tensor is None  # the recorded array is ignored
+        # The tensor rebuilt from the restored attempts is the recorded one.
+        rebuilt = backend.triple_count_tensor()
+        assert rebuilt.dtype == recorded.dtype
+        assert np.array_equal(rebuilt, recorded)
+        assert_bit_identical(restored.estimate_all(), restored.matrix)
+        assert "backend.triple_tensor" not in restored.export_state()[1]
+
+
 class TestWarmCacheResume:
     """Snapshots carry the dependency ledger and the clean cached estimates,
     so a resume serves untouched workers with zero recomputation."""

@@ -11,7 +11,6 @@ from scipy import stats as scipy_stats
 from repro.exceptions import ConfigurationError, DegenerateEstimateError
 from repro.stats import (
     bernoulli_variance,
-    clopper_pearson_interval,
     eigendecompose,
     is_positive_semidefinite,
     matrix_inverse_sqrt,
@@ -107,19 +106,6 @@ class TestBinomialIntervals:
     def test_wilson_is_within_unit_interval(self):
         interval = wilson_interval(1, 3, 0.95)
         assert 0.0 <= interval.lower <= interval.upper <= 1.0
-
-    def test_wilson_tighter_than_clopper_pearson(self):
-        wilson = wilson_interval(5, 40, 0.9)
-        exact = clopper_pearson_interval(5, 40, 0.9)
-        assert wilson.size <= exact.size + 1e-9
-
-    def test_clopper_pearson_contains_proportion(self):
-        interval = clopper_pearson_interval(7, 20, 0.95)
-        assert interval.lower <= 7 / 20 <= interval.upper
-
-    def test_clopper_pearson_boundary_cases(self):
-        assert clopper_pearson_interval(0, 10, 0.9).lower == 0.0
-        assert clopper_pearson_interval(10, 10, 0.9).upper == 1.0
 
     def test_higher_confidence_wider(self):
         narrow = wilson_interval(10, 50, 0.5)
